@@ -1,20 +1,15 @@
-//! Criterion throughput bench for the decode-once chunked sweep
-//! pipeline: the acceptance-sized sweep (32 gshare configurations,
-//! 120k branches of an IBS-calibrated generated workload) through the
-//! chunked engine vs the retained per-shard-replay baseline.
+//! Criterion throughput bench for the sweep driver: the
+//! acceptance-sized sweep (32 gshare configurations, 120k branches of
+//! an IBS-calibrated generated workload) through `run_configs`, plus
+//! the per-lane feed paths of the scalar replay core.
 //!
 //! Throughput is reported in lane-records per second (records ×
-//! configurations — the replay work both engines must do). The
-//! baseline regenerates the workload once per 8-predictor shard (4
-//! generation passes through a boxed per-record iterator) and pays an
-//! enum dispatch per lane-record; the chunked engine generates the
-//! trace once into structure-of-arrays chunks and replays them with
-//! the dispatch hoisted to once per lane×chunk.
+//! configurations).
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
 use bpred_core::PredictorConfig;
-use bpred_sim::{run_batched_chunked, run_batched_per_shard, Simulator, DEFAULT_SHARD_SIZE};
+use bpred_sim::{run_configs, Simulator};
 use bpred_trace::TraceChunk;
 use bpred_workloads::{suite, WorkloadSource};
 
@@ -41,18 +36,7 @@ fn sweep_throughput(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements((CONDITIONALS * configs.len()) as u64));
     group.bench_function("chunked", |b| {
-        b.iter(|| {
-            run_batched_chunked(
-                &configs,
-                &source,
-                Simulator::new(),
-                DEFAULT_SHARD_SIZE,
-                TraceChunk::DEFAULT_LEN,
-            )
-        });
-    });
-    group.bench_function("per-shard-replay", |b| {
-        b.iter(|| run_batched_per_shard(&configs, &source, Simulator::new(), DEFAULT_SHARD_SIZE));
+        b.iter(|| run_configs(&configs, &source, Simulator::new()));
     });
     group.finish();
 }

@@ -13,30 +13,22 @@
 //!
 //! Modes per family:
 //!
-//! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane is the pinned
-//!   hoisted-dispatch [`ReplayCore`](bpred_sim::ReplayCore) fallback.
-//! - `grouped` — `BPRED_GROUP_STEP=scalar`: record-major lane
-//!   grouping with per-lane counter steps (isolates the grouping +
-//!   decode-once win).
-//! - `grouped-swar` — `BPRED_GROUP_STEP=swar`: record-major grouping
-//!   with the packed `cell::step_packed` counter step (isolates the
-//!   packed step).
-//! - `multilane` — the default tier
-//!   ([`dispatch_tier`](bpred_sim::dispatch_tier)): the fused
-//!   lane-major kernel on stable, explicit SIMD under
-//!   `portable-simd`.
+//! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane replays on the
+//!   hoisted-dispatch [`ReplayCore`](bpred_sim::ReplayCore), the
+//!   scalar oracle.
+//! - `multilane` — the default tier ([`bpred_sim::dispatch_tier`]):
+//!   the fused lane-major group kernels.
 //!
-//! Every mode produces bit-identical results (asserted here on every
+//! Both modes produce bit-identical results (asserted here on every
 //! run); only wall-clock differs. Families cover the Direct shapes
 //! (gshare/GAs/address-indexed), the statics, the table-walk-plan
 //! families (PAs/SAs/agree/bi-mode/gskew), and the multi-structure
-//! plans (tournament/YAGS/path/lasttime). A grouped-mode row whose
-//! sweep actually ran lanes on the scalar tier is recorded as
-//! `"mode": "scalar-fallback"` instead of a misleading grouped
-//! number. A spill-scale scenario block re-measures the multilane
-//! tier at ~L2/~LLC/4×LLC arena footprints with chunk-level prefetch
-//! forced off vs the footprint-gated `auto` default, and every row
-//! records the prefetch choice the engine resolved. Alongside the
+//! plans (tournament/YAGS/path/lasttime). A multilane row whose sweep
+//! actually ran lanes on the scalar tier is recorded as
+//! `"mode": "scalar-fallback"` instead of a misleading fused number.
+//! A spill-scale scenario block re-measures the multilane tier at
+//! ~L2/~LLC/4×LLC arena footprints, and every row records whether the
+//! footprint gate turned the prefetching loop on. Alongside the
 //! gshare headline `speedup`, the artifact carries a
 //! `geomean_speedup` across all kernel families. `--quick` shrinks
 //! the trace and rep count for CI smoke use and additionally asserts
@@ -48,7 +40,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use bpred_core::PredictorConfig;
-use bpred_sim::{dispatch_tier, run_batched_chunked, SimResult, Simulator, DEFAULT_SHARD_SIZE};
+use bpred_sim::{dispatch_tier, run_configs, SimResult, Simulator};
 use bpred_trace::{TraceChunk, TraceSource};
 use bpred_workloads::{suite, WorkloadSource};
 
@@ -59,16 +51,16 @@ struct Family {
 }
 
 /// A measured (family × mode) cell. `mode` is the requested dispatch
-/// mode, rewritten to `"scalar-fallback"` when a nominally-grouped
-/// measurement actually ran lanes on the scalar tier — a fallback row
-/// must not masquerade as a grouped number.
+/// mode, rewritten to `"scalar-fallback"` when a multilane measurement
+/// actually ran lanes on the scalar tier — a fallback row must not
+/// masquerade as a fused number.
 struct Measurement {
     family: String,
     mode: String,
     lanes: usize,
     pairs_per_sec: f64,
-    /// The chunk-level arena prefetch the footprint heuristic resolved
-    /// for this row: `"on"` when any fused group prefetched, `"off"`
+    /// Whether the footprint gate turned the prefetching loop on for
+    /// this row: `"on"` when any fused group prefetched, `"off"`
     /// otherwise (scalar rows have no groups, hence always `"off"`).
     prefetch: &'static str,
 }
@@ -232,13 +224,7 @@ fn measure(
     let mut results = Vec::new();
     for _ in 0..reps {
         let start = Instant::now();
-        let run = run_batched_chunked(
-            configs,
-            source,
-            Simulator::new(),
-            DEFAULT_SHARD_SIZE,
-            TraceChunk::DEFAULT_LEN,
-        );
+        let run = run_configs(configs, source, Simulator::new());
         let pairs_per_sec = (records * configs.len()) as f64 / start.elapsed().as_secs_f64();
         best = best.max(pairs_per_sec);
         results = run;
@@ -282,8 +268,6 @@ fn main() -> ExitCode {
         std::env::set_var("BPRED_THREADS", "1");
     }
     std::env::remove_var("BPRED_FORCE_SCALAR");
-    std::env::remove_var("BPRED_GROUP_STEP");
-    std::env::remove_var("BPRED_GROUP_PREFETCH");
 
     let source = WorkloadSource::new(suite::mpeg_play().scaled(conditionals), 2);
     let records: usize = source
@@ -312,25 +296,15 @@ fn main() -> ExitCode {
         gen_records_per_sec / 1e6
     );
 
-    // (mode name, BPRED_FORCE_SCALAR, BPRED_GROUP_STEP)
-    let modes: [(&str, Option<&str>, Option<&str>); 4] = [
-        ("scalar", Some("1"), None),
-        ("grouped", None, Some("scalar")),
-        ("grouped-swar", None, Some("swar")),
-        ("multilane", None, None),
-    ];
-
     let mut measurements: Vec<Measurement> = Vec::new();
     for family in families() {
         let mut oracle: Option<Vec<SimResult>> = None;
-        for (mode, force_scalar, group_step) in modes {
-            match force_scalar {
-                Some(v) => std::env::set_var("BPRED_FORCE_SCALAR", v),
-                None => std::env::remove_var("BPRED_FORCE_SCALAR"),
-            }
-            match group_step {
-                Some(v) => std::env::set_var("BPRED_GROUP_STEP", v),
-                None => std::env::remove_var("BPRED_GROUP_STEP"),
+        for mode in ["scalar", "multilane"] {
+            let force_scalar = mode == "scalar";
+            if force_scalar {
+                std::env::set_var("BPRED_FORCE_SCALAR", "1");
+            } else {
+                std::env::remove_var("BPRED_FORCE_SCALAR");
             }
             let (pairs_per_sec, results) = measure(&family.configs, &source, records, reps);
             match &oracle {
@@ -341,10 +315,10 @@ fn main() -> ExitCode {
                     family.name
                 ),
             }
-            // A grouped-mode row that actually ran lanes on the scalar
-            // tier is not a grouped number: mark it instead of
-            // recording a misleading rate.
-            let fell_back = force_scalar.is_none() && bpred_sim::replay_scalar_lanes() > 0;
+            // A multilane row that actually ran lanes on the scalar
+            // tier is not a fused number: mark it instead of recording
+            // a misleading rate.
+            let fell_back = !force_scalar && bpred_sim::replay_scalar_lanes() > 0;
             let mode = if fell_back {
                 "scalar-fallback".to_owned()
             } else {
@@ -367,14 +341,11 @@ fn main() -> ExitCode {
         }
     }
     std::env::remove_var("BPRED_FORCE_SCALAR");
-    std::env::remove_var("BPRED_GROUP_STEP");
 
     // Spill-scale scenarios: identical-geometry gshare lanes sized so
     // one fused group's shared arena lands at ~L2 (1 MiB), ~LLC
-    // (16 MiB), and 4×LLC (64 MiB) — 16 lanes × 2^(h+c) cells × 8 B.
-    // Each footprint is measured with chunk-level prefetch forced off
-    // and with the footprint-gated `auto` default, so the artifact
-    // shows where the heuristic's spill threshold earns its keep.
+    // (16 MiB), and 4×LLC (64 MiB) — 16 lanes × 2^(h+c) cells × 8 B —
+    // each row recording whether the footprint gate prefetched.
     let spill_scenarios: [(&str, u32); 3] =
         [("spill-l2", 11), ("spill-llc", 15), ("spill-4xllc", 17)];
     for (name, history_bits) in spill_scenarios {
@@ -385,34 +356,22 @@ fn main() -> ExitCode {
             };
             16
         ];
-        let mut oracle: Option<Vec<SimResult>> = None;
-        for prefetch_env in ["off", "auto"] {
-            std::env::set_var("BPRED_GROUP_PREFETCH", prefetch_env);
-            let (pairs_per_sec, results) = measure(&configs, &source, records, reps);
-            match &oracle {
-                None => oracle = Some(results),
-                Some(want) => assert_eq!(
-                    want, &results,
-                    "{name} prefetch={prefetch_env} changed sweep results"
-                ),
-            }
-            let prefetch = resolved_prefetch();
-            eprintln!(
-                "{:<16} multilane ({prefetch_env:>4} -> {prefetch:<3}) {:>2} lanes  {:>7.1} M pairs/s",
-                name,
-                configs.len(),
-                pairs_per_sec / 1e6
-            );
-            measurements.push(Measurement {
-                family: name.to_owned(),
-                mode: format!("multilane-prefetch-{prefetch_env}"),
-                lanes: configs.len(),
-                pairs_per_sec,
-                prefetch,
-            });
-        }
+        let (pairs_per_sec, _) = measure(&configs, &source, records, reps);
+        let prefetch = resolved_prefetch();
+        eprintln!(
+            "{:<16} multilane (prefetch {prefetch:<3}) {:>2} lanes  {:>7.1} M pairs/s",
+            name,
+            configs.len(),
+            pairs_per_sec / 1e6
+        );
+        measurements.push(Measurement {
+            family: name.to_owned(),
+            mode: "multilane".to_owned(),
+            lanes: configs.len(),
+            pairs_per_sec,
+            prefetch,
+        });
     }
-    std::env::remove_var("BPRED_GROUP_PREFETCH");
 
     // Schema assertion (CI smoke runs `--quick`): every family in
     // this table is groupable, so each must report a non-fallback
@@ -427,7 +386,7 @@ fn main() -> ExitCode {
             assert!(
                 measurements
                     .iter()
-                    .any(|m| m.family == family && m.mode.starts_with("multilane")),
+                    .any(|m| m.family == family && m.mode == "multilane"),
                 "groupable family {family} reported no non-fallback multilane mode"
             );
         }

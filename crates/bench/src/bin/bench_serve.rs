@@ -76,7 +76,7 @@ fn expected_body(path: &str) -> Vec<u8> {
         None => WorkloadSource::new(model, request.seed),
     };
     let simulator = Simulator::with_warmup(request.warmup);
-    // source_id None: plain uncached run_batched under the hood.
+    // source_id None: plain uncached run_configs under the hood.
     let results = run_configs_keyed(&request.configs, &source, simulator, None);
     sweep_body(
         &request,

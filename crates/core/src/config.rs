@@ -526,9 +526,15 @@ impl FromStr for PredictorConfig {
             }
             "gskew" => {
                 let history_bits = params.require('h', scheme)?;
+                let bank_bits = params.get('b').unwrap_or(history_bits);
+                if bank_bits == 0 {
+                    return Err(ParseConfigError::new(
+                        "gskew needs at least one bank index bit (b >= 1)",
+                    ));
+                }
                 Ok(PredictorConfig::Gskew {
                     history_bits,
-                    bank_bits: params.get('b').unwrap_or(history_bits),
+                    bank_bits,
                 })
             }
             "yags" => {
@@ -692,6 +698,8 @@ mod tests {
         assert!(err.to_string().contains("key=value"));
         let err = "pas:h=8,w=4".parse::<PredictorConfig>().unwrap_err();
         assert!(err.to_string().contains("requires e="));
+        let err = "gskew:h=8,b=0".parse::<PredictorConfig>().unwrap_err();
+        assert!(err.to_string().contains("b >= 1"));
     }
 
     #[test]

@@ -258,8 +258,8 @@ impl Gskew {
     /// three `2^bank_bits`-counter banks.
     pub fn new(history_bits: u32, bank_bits: u32) -> Self {
         assert!(
-            bank_bits <= 24,
-            "bank of 2^{bank_bits} counters is too large"
+            (1..=24).contains(&bank_bits),
+            "gskew banks need 1..=24 index bits, got {bank_bits}"
         );
         let geometry = TableGeometry::new(bank_bits, 0);
         Gskew {

@@ -28,9 +28,9 @@
 //!    partial-update policy folded in.
 //!
 //! [`WalkPlan::of`] maps a [`PredictorConfig`] to its plan (or `None`
-//! for shapes the grouped tier cannot express — those lanes stay on
-//! the scalar fallback). Lanes whose plans share a [`PlanKind`]
-//! execute the same fused loop and may share a group.
+//! for the stateless static schemes, which have no table to walk).
+//! Lanes whose plans share a [`PlanKind`] execute the same fused loop
+//! and may share a group.
 //!
 //! # Examples
 //!
@@ -101,8 +101,8 @@ pub enum IndexFn {
         /// family) or only concatenated as columns (GAs family).
         xor: bool,
     },
-    /// gskew's skewed bank hash: `idx = (((pc-word << 20) ^ pattern)
-    /// * SKEW_BANK_MULTIPLIERS[bank]) >> (64 - row_bits)`.
+    /// gskew's skewed bank hash:
+    /// `idx = (((pc-word << 20) ^ pattern) * SKEW_BANK_MULTIPLIERS[bank]) >> (64 - row_bits)`.
     Skewed {
         /// Which of the three bank multipliers to use.
         bank: u8,
@@ -220,8 +220,8 @@ pub struct WalkPlan {
 }
 
 impl WalkPlan {
-    /// The plan for `config`, or `None` when the grouped tier cannot
-    /// express its lookup (those lanes stay on the scalar fallback).
+    /// The plan for `config`, or `None` for the stateless static
+    /// schemes (always-taken, always-not-taken, BTFN).
     pub fn of(config: &PredictorConfig) -> Option<WalkPlan> {
         let unified = |row_bits: u32, col_bits: u32, xor: bool| TableRead {
             row_bits,
@@ -316,12 +316,10 @@ impl WalkPlan {
                 ],
                 combine: CombineRule::ChooserSteered,
             }),
-            // A zero-bit gskew bank would need a 64-bit shift in the
-            // hash; leave that degenerate shape to the scalar oracle.
             PredictorConfig::Gskew {
                 history_bits,
                 bank_bits,
-            } if bank_bits > 0 => Some(WalkPlan {
+            } => Some(WalkPlan {
                 level1: Level1Read::GlobalHistory,
                 history_bits,
                 reads: (0..3u8)
@@ -585,11 +583,6 @@ mod tests {
             PredictorConfig::AlwaysTaken,
             PredictorConfig::AlwaysNotTaken,
             PredictorConfig::Btfn,
-            // Degenerate zero-bit gskew banks stay scalar.
-            PredictorConfig::Gskew {
-                history_bits: 0,
-                bank_bits: 0,
-            },
         ] {
             assert!(WalkPlan::of(&config).is_none(), "{config:?}");
         }

@@ -274,7 +274,7 @@ impl Metrics {
 
         // Predict+update throughput of the most recent sweep, labelled
         // with the dispatch tier the engine would use for groupable
-        // lanes (scalar / swar / simd). 0 until the first sweep runs.
+        // lanes (scalar / fused). 0 until the first sweep runs.
         let pairs = bpred_sim::replay_pairs_per_sec();
         let tier = bpred_sim::dispatch_tier();
         let _ = writeln!(
@@ -397,7 +397,7 @@ mod tests {
     #[test]
     fn replayed_records_series_tracks_the_engine_counter() {
         use bpred_core::PredictorConfig;
-        use bpred_sim::{run_batched_default, Simulator};
+        use bpred_sim::{run_configs, Simulator};
         use bpred_trace::{BranchRecord, Outcome, Trace};
 
         let m = Metrics::new();
@@ -405,7 +405,7 @@ mod tests {
             .map(|i| BranchRecord::conditional(0x40 + 4 * (i % 8), 0x20, Outcome::from(i % 3 == 0)))
             .collect();
         let before = bpred_sim::records_replayed_total();
-        run_batched_default(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
+        run_configs(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
         assert!(bpred_sim::records_replayed_total() >= before + 200);
         let value: u64 = m
             .render_prometheus()
@@ -420,19 +420,22 @@ mod tests {
     #[test]
     fn replay_throughput_gauge_carries_the_dispatch_tier_label() {
         use bpred_core::PredictorConfig;
-        use bpred_sim::{run_batched_default, Simulator};
+        use bpred_sim::{run_configs, Simulator};
         use bpred_trace::{BranchRecord, Outcome, Trace};
 
         let m = Metrics::new();
         let trace: Trace = (0..500)
             .map(|i| BranchRecord::conditional(0x40 + 4 * (i % 8), 0x20, Outcome::from(i % 3 == 0)))
             .collect();
-        run_batched_default(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
+        run_configs(&[PredictorConfig::AlwaysTaken], &trace, Simulator::new());
         let text = m.render_prometheus();
         assert!(text.contains("# TYPE bpred_replay_pairs_per_sec gauge"));
+        let tier = bpred_sim::dispatch_tier();
+        assert!(matches!(tier, "scalar" | "fused"), "{tier}");
+        let prefix = format!("bpred_replay_pairs_per_sec{{tier=\"{tier}\"}} ");
         let line = text
             .lines()
-            .find(|l| l.starts_with("bpred_replay_pairs_per_sec{tier=\""))
+            .find(|l| l.starts_with(&prefix))
             .expect("labelled gauge present");
         let value: f64 = line
             .rsplit(' ')

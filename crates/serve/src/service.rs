@@ -10,7 +10,7 @@
 //! 2. **Coalesced wait** — another request is simulating the same
 //!    cell right now ([`Flight`] single-flight); wait for it.
 //! 3. **Simulate** — the residual misses run as *one* batch through
-//!    [`run_batched`], sharing a single streaming pass, then land in
+//!    [`run_configs`], sharing a single streaming pass, then land in
 //!    the store for next time.
 //!
 //! The JSON body is deterministic (insertion-ordered fields, no
@@ -24,7 +24,7 @@ use std::time::Instant;
 
 use bpred_core::PredictorConfig;
 use bpred_sim::cache::CellKey;
-use bpred_sim::{run_batched, SimResult, Simulator, DEFAULT_SHARD_SIZE};
+use bpred_sim::{run_configs, SimResult, Simulator};
 use bpred_workloads::{suite, WorkloadSource};
 
 use crate::flight::{Flight, Join, LeaderGuard};
@@ -271,7 +271,7 @@ impl SweepService {
             Metrics::inc(&self.metrics.batches);
             Metrics::inc(&self.metrics.inflight_batches);
             let started = Instant::now();
-            let computed = run_batched(&configs, &source, simulator, DEFAULT_SHARD_SIZE);
+            let computed = run_configs(&configs, &source, simulator);
             self.metrics.batch_latency.observe(started.elapsed());
             self.metrics
                 .inflight_batches
@@ -300,13 +300,7 @@ impl SweepService {
                 None => {
                     provenance.misses += 1;
                     Metrics::inc(&self.metrics.cache_misses);
-                    let solo = run_batched(
-                        &[request.configs[i]],
-                        &source,
-                        simulator,
-                        DEFAULT_SHARD_SIZE,
-                    )
-                    .remove(0);
+                    let solo = run_configs(&[request.configs[i]], &source, simulator).remove(0);
                     if let Some(store) = &self.store {
                         let _ = store.put(&keys[i], &solo);
                     }
@@ -412,6 +406,7 @@ mod tests {
         assert!(SweepRequest::parse("workload=e&configs=gshare:h=6&seed=x").is_err());
         assert!(SweepRequest::parse("workload=e&configs=gshare:h=6&branches=0").is_err());
         assert!(SweepRequest::parse("workload=e&configs=gshare:h=6&bogus=1").is_err());
+        assert!(SweepRequest::parse("workload=e&configs=gskew:h=8,b=0").is_err());
     }
 
     #[test]

@@ -1,37 +1,25 @@
-//! Single-pass batched replay: N lanes × one shared chunk stream.
+//! The sweep driver: N configurations × one shared chunk stream.
 //!
-//! The per-configuration sweep ([`run_config`](crate::run_config) in a
-//! loop) replays the whole trace once *per predictor*: a 32-point
-//! sweep over a 120k-branch trace walks 3.8M records. The batched
-//! engine goes further than sharing a stream per shard: the trace is
-//! generated (or decoded) into structure-of-arrays
-//! [`TraceChunk`]s **exactly once per sweep**, and every lane replays
-//! that one chunk sequence. Chunk production either runs inline ahead
-//! of the lanes (single worker) or on a dedicated producer thread that
-//! publishes into a bounded ref-counted ring shared by all shard
-//! workers (see [`crate::ring`]), overlapping generation with replay.
-//!
-//! Each lane is a [`ReplayCore`] over the configuration's
-//! enum-dispatched [`PredictorKernel`](bpred_core::PredictorKernel),
-//! and the chunk feed hoists that enum match to once per lane×chunk,
-//! so the inner record loop is fully monomorphized. Because lanes are
-//! independent and [`ReplayCore::feed_observed`] is the single feed
-//! path, a batched run is *bit-identical* to running each
-//! configuration alone through [`Simulator::run`], which
+//! A per-configuration sweep ([`run_config`] in a loop) replays the
+//! whole trace once *per predictor*. [`run_configs`] instead generates
+//! (or decodes) the trace into structure-of-arrays [`TraceChunk`]s
+//! **exactly once per sweep** and feeds every chunk to
+//! [`LaneSet`]s, which step each configuration through its fused lane
+//! group (see [`crate::multilane`]). Results are *bit-identical* to
+//! running each configuration alone through [`Simulator::run`], which
 //! `tests/determinism.rs` at the workspace root enforces for every
 //! configuration variant.
 //!
-//! # Shard size
+//! # Workers and shards
 //!
-//! A shard groups the lanes a worker advances consecutively through
-//! each chunk: too large and the shard's combined predictor state
-//! thrashes the cache the chunk was meant to stay hot in.
-//! [`DEFAULT_SHARD_SIZE`] (8) is a good default for the paper's
-//! predictor sizes (≤ 64 KiB of counters each); use smaller shards
-//! for very large predictors. Shard count also bounds worker
-//! parallelism, and in the retained per-shard engine
-//! ([`run_batched_per_shard`]) it still sets how often the source is
-//! re-streamed.
+//! With one worker the chunks are produced inline into one reused
+//! buffer, one [`LaneSet`] covers every configuration, and no thread
+//! is spawned. With more, a producer thread publishes chunks into a
+//! bounded ref-counted ring (see [`crate::ring`]) and each worker
+//! replays them through the shards it owns: consecutive
+//! [`DEFAULT_SHARD_SIZE`]-configuration slices, one [`LaneSet`] each,
+//! assigned round-robin. Either way production happens once per
+//! sweep, overlapping replay when threaded.
 //!
 //! # Thread count
 //!
@@ -42,91 +30,83 @@
 //! on stderr. Thread count never changes results, only wall-clock
 //! time.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, Once};
 use std::time::Instant;
 
-use bpred_core::{PredictorConfig, PredictorKernel};
-use bpred_trace::{TraceChunk, TraceSource};
+use bpred_core::PredictorConfig;
+use bpred_trace::{Trace, TraceChunk, TraceSource};
 
 use crate::multilane::LANE_TIER_LABELS;
 use crate::ring::{ChunkRing, DetachGuard, FinishGuard, RING_CAPACITY};
 use crate::{LaneSet, ReplayCore, SimResult, Simulator};
 
-/// Predictors replayed together per shard by [`run_batched_default`]
-/// and the sweep layers built on it.
+/// Configurations per shard — one [`LaneSet`] each — when a sweep runs
+/// on more than one worker.
 pub const DEFAULT_SHARD_SIZE: usize = 8;
 
-/// One batched lane: a [`ReplayCore`] over the configuration's
-/// enum-dispatched kernel.
-type Lane = ReplayCore<PredictorKernel>;
-
-/// Records replayed through the chunked pipeline, process-wide.
+/// Records replayed through the sweep driver, process-wide.
 static RECORDS_REPLAYED: AtomicU64 = AtomicU64::new(0);
 
-/// Bit pattern of the last chunked sweep's predict+update pairs per
-/// second (an `f64` stored through `to_bits`; 0 until a sweep runs).
+/// Bit pattern of the last sweep's predict+update pairs per second
+/// (an `f64` stored through `to_bits`; 0 until a sweep runs).
 static REPLAY_PAIRS_PER_SEC: AtomicU64 = AtomicU64::new(0);
 
-/// Lanes of the last chunked sweep that fell back to the scalar
-/// replay tier (0 until a sweep runs).
+/// Lanes of the last sweep on the scalar replay tier (0 until a sweep
+/// runs).
 static REPLAY_SCALAR_LANES: AtomicU64 = AtomicU64::new(0);
 
-/// Per-plan-family lane counts of the last chunked sweep, indexed like
+/// Per-plan-family lane counts of the last sweep, indexed like
 /// [`LANE_TIER_LABELS`] (all zero until a sweep runs).
 static REPLAY_GROUP_LANES: [AtomicU64; LANE_TIER_LABELS.len()] =
     [const { AtomicU64::new(0) }; LANE_TIER_LABELS.len()];
 
-/// Fused groups of the last chunked sweep that resolved chunk-level
-/// arena prefetch *on* (0 until a sweep runs).
+/// Groups of the last sweep whose arena footprint turned the
+/// prefetching loop on (0 until a sweep runs).
 static REPLAY_PREFETCH_GROUPS: AtomicU64 = AtomicU64::new(0);
 
 /// Warns at most once per process about an unparsable `BPRED_THREADS`.
 static BPRED_THREADS_WARNING: Once = Once::new();
 
-/// Total lane-records replayed through the chunked sweep pipeline
-/// since process start (each record counts once per lane that
-/// consumed it). Monotonic; backs the `bpred_records_replayed_total`
-/// counter exported by `bpred-serve`'s `/metrics` endpoint.
+/// Total lane-records replayed through the sweep driver since process
+/// start (each record counts once per lane that consumed it).
+/// Monotonic; backs the `bpred_records_replayed_total` counter
+/// exported by `bpred-serve`'s `/metrics` endpoint.
 pub fn records_replayed_total() -> u64 {
     RECORDS_REPLAYED.load(Ordering::Relaxed)
 }
 
-/// Predict+update pairs per second of the most recent chunked sweep
-/// in this process (0.0 before any sweep). Wall-clock observability
-/// only — it never influences results; backs the
-/// `bpred_replay_pairs_per_sec` gauge exported by `bpred-serve`'s
-/// `/metrics` endpoint, labelled with
-/// [`dispatch_tier`](crate::dispatch_tier).
+/// Predict+update pairs per second of the most recent sweep in this
+/// process (0.0 before any sweep). Wall-clock observability only — it
+/// never influences results; backs the `bpred_replay_pairs_per_sec`
+/// gauge exported by `bpred-serve`'s `/metrics` endpoint, labelled
+/// with [`dispatch_tier`](crate::dispatch_tier).
 pub fn replay_pairs_per_sec() -> f64 {
     f64::from_bits(REPLAY_PAIRS_PER_SEC.load(Ordering::Relaxed))
 }
 
-/// Number of lanes in the most recent chunked sweep that fell back to
-/// the scalar replay tier ([`LaneSet::scalar_lanes`] summed over the
-/// sweep's shards). 0 before the first sweep — and, the healthy case,
-/// 0 after a sweep whose every lane dispatched to a fast tier. Backs
-/// the `bpred_replay_scalar_lanes` gauge exported by `bpred-serve`'s
-/// `/metrics` endpoint, so a sweep silently degrading to the slow
-/// tier is observable.
+/// Number of lanes in the most recent sweep on the scalar replay tier
+/// ([`LaneSet::scalar_lanes`] summed over the sweep's lane sets): 0
+/// before the first sweep and, outside `BPRED_FORCE_SCALAR`, after
+/// every sweep. Backs the `bpred_replay_scalar_lanes` gauge exported
+/// by `bpred-serve`'s `/metrics` endpoint.
 pub fn replay_scalar_lanes() -> u64 {
     REPLAY_SCALAR_LANES.load(Ordering::Relaxed)
 }
 
-/// Per-plan-family lane counts of the most recent chunked sweep,
-/// indexed like [`LANE_TIER_LABELS`] (all zero before the first
-/// sweep). Backs the `bpred_replay_group_lanes{plan=...}` gauge
-/// exported by `bpred-serve`'s `/metrics` endpoint, so the plan
-/// families a sweep actually dispatched to are observable.
+/// Per-plan-family lane counts of the most recent sweep, indexed like
+/// [`LANE_TIER_LABELS`] (all zero before the first sweep). Backs the
+/// `bpred_replay_group_lanes{plan=...}` gauge exported by
+/// `bpred-serve`'s `/metrics` endpoint, so the plan families a sweep
+/// actually dispatched to are observable.
 pub fn replay_group_lanes() -> [u64; LANE_TIER_LABELS.len()] {
     std::array::from_fn(|i| REPLAY_GROUP_LANES[i].load(Ordering::Relaxed))
 }
 
-/// Number of fused groups in the most recent chunked sweep that
-/// resolved chunk-level arena prefetch *on* (see
-/// `BPRED_GROUP_PREFETCH` in [`crate::multilane`]); 0 before the first
-/// sweep. Lets benches and `/metrics` record which prefetch mode a
-/// sweep's footprint heuristic actually chose.
+/// Number of groups in the most recent sweep whose arena footprint
+/// turned the prefetching loop on ([`LaneSet::prefetch_groups`]); 0
+/// before the first sweep. Lets benches and `/metrics` record which
+/// loop a sweep actually ran.
 pub fn replay_prefetch_groups() -> u64 {
     REPLAY_PREFETCH_GROUPS.load(Ordering::Relaxed)
 }
@@ -146,7 +126,7 @@ fn record_lane_census(lanes: &LaneSet) {
 /// override (e.g. `"0x8"` or an empty string) falls back to available
 /// parallelism and reports the rejected value once on stderr instead
 /// of silently ignoring it.
-pub(crate) fn worker_count(jobs: usize) -> usize {
+fn worker_count(jobs: usize) -> usize {
     let cores = match std::env::var("BPRED_THREADS") {
         Ok(raw) => match raw.parse::<usize>() {
             Ok(n) => n.max(1),
@@ -183,57 +163,37 @@ pub(crate) fn lock_ignoring_poison<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// Simulates every configuration against `source` through the chunked
-/// decode-once pipeline with [`TraceChunk::DEFAULT_LEN`]-record
-/// chunks. Results come back in `configs` order and are bit-identical
-/// to running [`Simulator::run`] per configuration.
+/// Simulates every configuration against `source` in one decode pass,
+/// returning results in the same order as `configs`, bit-identical to
+/// running [`Simulator::run`] per configuration.
 ///
-/// The source is generated/decoded into structure-of-arrays chunks
-/// exactly once; every lane replays that one chunk sequence (see
-/// [`run_batched_chunked`] for the pipeline and the role of
-/// `shard_size`).
-///
-/// # Panics
-///
-/// Panics if `shard_size` is zero.
+/// With one worker a single [`LaneSet`]
+/// covers every configuration and no thread is spawned; with more,
+/// each worker owns round-robin [`DEFAULT_SHARD_SIZE`]-configuration
+/// shards and a producer thread shares the chunks between them.
+/// Worker count is `min(BPRED_THREADS or available parallelism,
+/// shards)`; it never changes results.
 ///
 /// # Examples
 ///
 /// ```
 /// use bpred_core::PredictorConfig;
-/// use bpred_sim::{run_batched, Simulator};
+/// use bpred_sim::{run_configs, Simulator};
 /// use bpred_trace::{BranchRecord, Outcome, Trace};
 ///
-/// let trace: Trace = (0..300)
+/// let trace: Trace = (0..200)
 ///     .map(|i| BranchRecord::conditional(0x40 + 4 * (i % 8), 0x20, Outcome::from(i % 3 == 0)))
 ///     .collect();
-/// let configs: Vec<PredictorConfig> = (2..10)
-///     .map(|n| PredictorConfig::Gshare { history_bits: n, col_bits: 2 })
-///     .collect();
-/// let results = run_batched(&configs, &trace, Simulator::new(), 4);
-/// assert_eq!(results.len(), 8);
-/// assert_eq!(results[0].conditionals, 300);
+/// let configs = vec![
+///     PredictorConfig::AddressIndexed { addr_bits: 4 },
+///     PredictorConfig::Gshare { history_bits: 4, col_bits: 2 },
+/// ];
+/// let results = run_configs(&configs, &trace, Simulator::new());
+/// assert_eq!(results.len(), 2);
+/// assert_eq!(results[1].conditionals, 200);
+/// assert!(results[0].predictor.starts_with("address-indexed"));
 /// ```
-pub fn run_batched<S>(
-    configs: &[PredictorConfig],
-    source: &S,
-    simulator: Simulator,
-    shard_size: usize,
-) -> Vec<SimResult>
-where
-    S: TraceSource + Sync + ?Sized,
-{
-    run_batched_chunked(
-        configs,
-        source,
-        simulator,
-        shard_size,
-        TraceChunk::DEFAULT_LEN,
-    )
-}
-
-/// [`run_batched`] with [`DEFAULT_SHARD_SIZE`].
-pub fn run_batched_default<S>(
+pub fn run_configs<S>(
     configs: &[PredictorConfig],
     source: &S,
     simulator: Simulator,
@@ -241,47 +201,42 @@ pub fn run_batched_default<S>(
 where
     S: TraceSource + Sync + ?Sized,
 {
-    run_batched(configs, source, simulator, DEFAULT_SHARD_SIZE)
+    let workers = worker_count(configs.len().div_ceil(DEFAULT_SHARD_SIZE));
+    run_chunked(configs, source, simulator, TraceChunk::DEFAULT_LEN, workers)
 }
 
-/// The chunked pipeline with an explicit chunk length: the source is
-/// decoded into [`TraceChunk`]s of up to `chunk_len` records exactly
-/// once, and every configuration's lane replays that one sequence.
-///
-/// With a single worker the chunks are produced inline, immediately
-/// ahead of the lanes that consume them. With more, a dedicated
-/// producer thread publishes chunks into a bounded ref-counted ring
-/// and each worker replays them through the shards it owns (static
-/// round-robin), so chunk production overlaps with replay and is
-/// backpressured by the slowest worker. Either way production happens
-/// once per sweep — not once per shard — and results are bit-identical
-/// to [`Simulator::run`] per configuration.
-///
-/// `chunk_len` trades ring memory against synchronisation frequency;
-/// [`TraceChunk::DEFAULT_LEN`] suits everything in this workspace.
-/// `shard_size` groups the lanes a worker advances consecutively
-/// through each chunk (see the [module docs](self)).
+/// Simulates one configuration on the scalar kernel: the
+/// configuration's enum-dispatched predictor, replayed record by
+/// record. This is the oracle the fused groups are tested against.
+pub fn run_config(config: PredictorConfig, trace: &Trace, simulator: Simulator) -> SimResult {
+    let mut core = ReplayCore::from_config(&config, simulator);
+    core.replay_dispatched(trace);
+    core.finish()
+}
+
+/// The driver behind [`run_configs`]: decodes `source` into chunks of
+/// up to `chunk_len` records once and replays them through one
+/// [`LaneSet`] inline (`workers == 1`) or through
+/// [`DEFAULT_SHARD_SIZE`] shards spread round-robin over `workers`
+/// threads fed from a [`ChunkRing`]. Maintains the sweep gauges.
 ///
 /// # Panics
 ///
-/// Panics if `shard_size` or `chunk_len` is zero.
-pub fn run_batched_chunked<S>(
+/// Panics if `chunk_len` is zero.
+fn run_chunked<S>(
     configs: &[PredictorConfig],
     source: &S,
     simulator: Simulator,
-    shard_size: usize,
     chunk_len: usize,
+    workers: usize,
 ) -> Vec<SimResult>
 where
     S: TraceSource + Sync + ?Sized,
 {
-    assert!(shard_size > 0, "shard size must be positive");
     assert!(chunk_len > 0, "chunk length must be positive");
     if configs.is_empty() {
         return Vec::new();
     }
-    let shard_count = configs.len().div_ceil(shard_size);
-    let consumers = worker_count(shard_count);
     let before = records_replayed_total();
     REPLAY_SCALAR_LANES.store(0, Ordering::Relaxed);
     REPLAY_PREFETCH_GROUPS.store(0, Ordering::Relaxed);
@@ -289,112 +244,64 @@ where
         slot.store(0, Ordering::Relaxed);
     }
     let start = Instant::now();
-    let results = if consumers == 1 {
-        run_chunked_inline(configs, source, simulator, chunk_len)
+    let results: Mutex<Vec<Option<SimResult>>> = Mutex::new(vec![None; configs.len()]);
+    if workers == 1 {
+        // One generator pass through a single reused buffer: with no
+        // other worker to share with, the whole replay runs out of one
+        // chunk's worth of memory.
+        replay_owned(&[(0, configs)], simulator, &results, |feed| {
+            let mut feeder = source.chunk_feeder();
+            let mut chunk = TraceChunk::with_capacity(chunk_len);
+            while feeder.refill(&mut chunk, chunk_len) > 0 {
+                feed(&chunk);
+            }
+        });
     } else {
-        run_chunked_pipelined(configs, source, simulator, shard_size, chunk_len, consumers)
-    };
+        let shards: Vec<(usize, &[PredictorConfig])> = configs
+            .chunks(DEFAULT_SHARD_SIZE)
+            .enumerate()
+            .map(|(shard, slice)| (shard * DEFAULT_SHARD_SIZE, slice))
+            .collect();
+        let ring = ChunkRing::new(RING_CAPACITY, workers);
+        std::thread::scope(|scope| {
+            scope.spawn(|| {
+                // The guard finishes the stream even if the source's
+                // iterator panics mid-sweep.
+                let _finish = FinishGuard(&ring);
+                for chunk in source.chunks(chunk_len) {
+                    if !ring.publish(chunk) {
+                        return; // every consumer is gone
+                    }
+                }
+            });
+            for worker in 0..workers {
+                let (ring, results, shards) = (&ring, &results, &shards);
+                scope.spawn(move || {
+                    let _detach = DetachGuard {
+                        ring,
+                        consumer: worker,
+                    };
+                    let owned: Vec<_> = shards
+                        .iter()
+                        .skip(worker)
+                        .step_by(workers)
+                        .copied()
+                        .collect();
+                    replay_owned(&owned, simulator, results, |feed| {
+                        while let Some(chunk) = ring.next(worker) {
+                            feed(&chunk);
+                        }
+                    });
+                });
+            }
+        });
+    }
     let pairs = records_replayed_total() - before;
     let elapsed = start.elapsed().as_secs_f64();
     if pairs > 0 && elapsed > 0.0 {
         REPLAY_PAIRS_PER_SEC.store((pairs as f64 / elapsed).to_bits(), Ordering::Relaxed);
     }
     results
-}
-
-/// Single-worker chunk path: no threads, no ring — produce each chunk
-/// and advance every lane through it before the next one exists.
-fn run_chunked_inline<S>(
-    configs: &[PredictorConfig],
-    source: &S,
-    simulator: Simulator,
-    chunk_len: usize,
-) -> Vec<SimResult>
-where
-    S: TraceSource + ?Sized,
-{
-    let mut lanes = LaneSet::new(configs, simulator);
-    record_lane_census(&lanes);
-    // One generator pass through a single reused buffer: with no other
-    // worker to share with, the whole replay runs out of one chunk's
-    // worth of memory.
-    let mut feeder = source.chunk_feeder();
-    let mut chunk = TraceChunk::with_capacity(chunk_len);
-    while feeder.refill(&mut chunk, chunk_len) > 0 {
-        RECORDS_REPLAYED.fetch_add((chunk.len() * lanes.len()) as u64, Ordering::Relaxed);
-        lanes.replay_chunk(&chunk);
-    }
-    lanes.finish()
-}
-
-/// Multi-worker chunk path: one producer thread fills a bounded
-/// [`ChunkRing`]; `consumers` workers replay the shared sequence
-/// through the shards each statically owns (worker `c` owns shards
-/// `c, c + consumers, …`).
-fn run_chunked_pipelined<S>(
-    configs: &[PredictorConfig],
-    source: &S,
-    simulator: Simulator,
-    shard_size: usize,
-    chunk_len: usize,
-    consumers: usize,
-) -> Vec<SimResult>
-where
-    S: TraceSource + Sync + ?Sized,
-{
-    let shard_count = configs.len().div_ceil(shard_size);
-    let ring = ChunkRing::new(RING_CAPACITY, consumers);
-    let results: Mutex<Vec<Option<SimResult>>> = Mutex::new(vec![None; configs.len()]);
-
-    std::thread::scope(|scope| {
-        scope.spawn(|| {
-            // The guard finishes the stream even if the source's
-            // iterator panics mid-sweep.
-            let _finish = FinishGuard(&ring);
-            for chunk in source.chunks(chunk_len) {
-                if !ring.publish(chunk) {
-                    return; // every consumer is gone
-                }
-            }
-        });
-        for consumer in 0..consumers {
-            let ring = &ring;
-            let results = &results;
-            scope.spawn(move || {
-                let _detach = DetachGuard { ring, consumer };
-                let mut shards: Vec<(usize, LaneSet)> = (consumer..shard_count)
-                    .step_by(consumers)
-                    .map(|shard| {
-                        let base = shard * shard_size;
-                        let shard_configs = &configs[base..(base + shard_size).min(configs.len())];
-                        (base, LaneSet::new(shard_configs, simulator))
-                    })
-                    .collect();
-                if shards.is_empty() {
-                    return; // more workers than shards: nothing owned
-                }
-                for (_, set) in &shards {
-                    record_lane_census(set);
-                }
-                let lane_count: usize = shards.iter().map(|(_, set)| set.len()).sum();
-                while let Some(chunk) = ring.next(consumer) {
-                    RECORDS_REPLAYED
-                        .fetch_add((chunk.len() * lane_count) as u64, Ordering::Relaxed);
-                    for (_, set) in &mut shards {
-                        set.replay_chunk(&chunk);
-                    }
-                }
-                let mut results = lock_ignoring_poison(results);
-                for (base, set) in shards {
-                    for (offset, result) in set.finish().into_iter().enumerate() {
-                        results[base + offset] = Some(result);
-                    }
-                }
-            });
-        }
-    });
-
-    results
         .into_inner()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
         .into_iter()
@@ -402,75 +309,45 @@ where
         .collect()
 }
 
-/// The pre-pipeline batched engine, retained as a baseline: every
-/// shard opens its *own* streaming pass over the source, so a sweep
-/// re-generates the trace once per shard rather than once overall.
-/// Results are bit-identical to [`run_batched`]; the
-/// `sweep_throughput` bench in `bpred-bench` measures the difference.
-///
-/// Shards are distributed over worker threads by work-stealing; the
-/// source must replay the same sequence on every
-/// [`TraceSource::stream`] call (all sources in this workspace do).
-///
-/// # Panics
-///
-/// Panics if `shard_size` is zero.
-pub fn run_batched_per_shard<S>(
-    configs: &[PredictorConfig],
-    source: &S,
+/// One worker's share of a sweep: builds a [`LaneSet`] per owned
+/// `(first result slot, configurations)` shard, feeds it every chunk
+/// `chunks` produces, and writes the results. A worker that owns no
+/// shard returns without reading a chunk.
+fn replay_owned(
+    owned: &[(usize, &[PredictorConfig])],
     simulator: Simulator,
-    shard_size: usize,
-) -> Vec<SimResult>
-where
-    S: TraceSource + Sync + ?Sized,
-{
-    assert!(shard_size > 0, "shard size must be positive");
-    if configs.is_empty() {
-        return Vec::new();
+    results: &Mutex<Vec<Option<SimResult>>>,
+    chunks: impl FnOnce(&mut dyn FnMut(&TraceChunk)),
+) {
+    if owned.is_empty() {
+        return;
     }
-    let shard_count = configs.len().div_ceil(shard_size);
-    let next_shard = AtomicUsize::new(0);
-    let results: Mutex<Vec<Option<SimResult>>> = Mutex::new(vec![None; configs.len()]);
-
-    std::thread::scope(|scope| {
-        for _ in 0..worker_count(shard_count) {
-            scope.spawn(|| loop {
-                let shard = next_shard.fetch_add(1, Ordering::Relaxed);
-                if shard >= shard_count {
-                    return;
-                }
-                let base = shard * shard_size;
-                let shard_configs = &configs[base..(base + shard_size).min(configs.len())];
-                let mut lanes: Vec<Lane> = shard_configs
-                    .iter()
-                    .map(|config| ReplayCore::from_config(config, simulator))
-                    .collect();
-                for record in source.stream() {
-                    for lane in &mut lanes {
-                        lane.feed(&record);
-                    }
-                }
-                let mut results = lock_ignoring_poison(&results);
-                for (offset, lane) in lanes.into_iter().enumerate() {
-                    results[base + offset] = Some(lane.finish());
-                }
-            });
+    let mut sets: Vec<(usize, LaneSet)> = owned
+        .iter()
+        .map(|&(base, slice)| (base, LaneSet::new(slice, simulator)))
+        .collect();
+    for (_, set) in &sets {
+        record_lane_census(set);
+    }
+    let lanes: usize = sets.iter().map(|(_, set)| set.len()).sum();
+    chunks(&mut |chunk| {
+        RECORDS_REPLAYED.fetch_add((chunk.len() * lanes) as u64, Ordering::Relaxed);
+        for (_, set) in &mut sets {
+            set.replay_chunk(chunk);
         }
     });
-
-    results
-        .into_inner()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
-        .into_iter()
-        .map(|r| r.expect("every configuration simulated"))
-        .collect()
+    let mut results = lock_ignoring_poison(results);
+    for (base, set) in sets {
+        for (offset, result) in set.finish().into_iter().enumerate() {
+            results[base + offset] = Some(result);
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::run_config;
-    use bpred_trace::{BranchRecord, Outcome, Trace};
+    use bpred_trace::{BranchRecord, Outcome};
 
     fn trace(n: usize) -> Trace {
         (0..n)
@@ -503,53 +380,61 @@ mod tests {
         ]
     }
 
+    /// Three shards' worth: `mixed_configs` plus a gshare size range.
+    fn sharded_configs() -> Vec<PredictorConfig> {
+        let mut configs = mixed_configs();
+        configs.extend((2..17).map(|n| PredictorConfig::Gshare {
+            history_bits: n,
+            col_bits: n % 3,
+        }));
+        assert_eq!(configs.len().div_ceil(DEFAULT_SHARD_SIZE), 3);
+        configs
+    }
+
+    fn serial(configs: &[PredictorConfig], t: &Trace, simulator: Simulator) -> Vec<SimResult> {
+        configs
+            .iter()
+            .map(|&config| run_config(config, t, simulator))
+            .collect()
+    }
+
     #[test]
-    fn batched_matches_serial_exactly() {
-        let t = trace(3_000);
+    fn chunk_boundaries_never_change_results() {
+        let n = 3_000;
+        let t = trace(n);
         let configs = mixed_configs();
-        for shard_size in [1, 2, 3, 64] {
-            let batched = run_batched(&configs, &t, Simulator::new(), shard_size);
-            for (cfg, got) in configs.iter().zip(&batched) {
-                let want = run_config(*cfg, &t, Simulator::new());
-                assert_eq!(&want, got, "{cfg} at shard size {shard_size}");
-            }
+        let want = serial(&configs, &t, Simulator::new());
+        for chunk_len in [1, 7, n - 1, n, n + 1] {
+            let got = run_chunked(&configs, &t, Simulator::new(), chunk_len, 1);
+            assert_eq!(want, got, "chunk_len {chunk_len}");
         }
     }
 
     #[test]
-    fn chunked_matches_the_per_shard_engine_at_any_chunk_len() {
-        let t = trace(3_000);
-        let configs = mixed_configs();
-        let baseline = run_batched_per_shard(&configs, &t, Simulator::new(), 2);
-        for chunk_len in [1, 7, 2_999, 3_000, 3_001] {
-            let chunked = run_batched_chunked(&configs, &t, Simulator::new(), 2, chunk_len);
-            assert_eq!(baseline, chunked, "chunk_len {chunk_len}");
-        }
-    }
-
-    #[test]
-    fn pipelined_ring_path_matches_inline() {
-        // The 1-core default would take the inline path, so drive the
-        // producer/consumer pipeline directly with explicit worker
-        // counts (including more workers than shards).
+    fn worker_count_never_changes_results() {
+        // 3 shards: 2 workers own unequal shares, 3 one each, 7 leave
+        // four workers with nothing to replay.
         let t = trace(4_000);
-        let configs = mixed_configs();
-        let inline = run_chunked_inline(&configs, &t, Simulator::new(), 64);
-        for consumers in [2, 3, 7] {
-            let pipelined = run_chunked_pipelined(&configs, &t, Simulator::new(), 2, 64, consumers);
-            assert_eq!(inline, pipelined, "{consumers} consumers");
+        let configs = sharded_configs();
+        let want = serial(&configs, &t, Simulator::with_warmup(500));
+        for workers in [1, 2, 3, 7] {
+            let got = run_chunked(&configs, &t, Simulator::with_warmup(500), 64, workers);
+            assert_eq!(want, got, "{workers} workers");
         }
     }
 
     #[test]
-    fn pipelined_streaming_source_matches_materialised() {
+    fn streaming_source_matches_materialised() {
         use bpred_workloads::{suite, WorkloadSource};
         let model = suite::espresso().scaled(3_000);
         let source = WorkloadSource::new(model.clone(), 23);
-        let configs = mixed_configs();
-        let streamed = run_chunked_pipelined(&configs, &source, Simulator::new(), 2, 256, 2);
-        let materialised = run_batched_per_shard(&configs, &model.trace(23), Simulator::new(), 2);
-        assert_eq!(streamed, materialised);
+        let configs = sharded_configs();
+        let want = serial(&configs, &model.trace(23), Simulator::new());
+        for workers in [1, 2] {
+            let streamed = run_chunked(&configs, &source, Simulator::new(), 256, workers);
+            assert_eq!(want, streamed, "{workers} workers");
+        }
+        assert_eq!(want, run_configs(&configs, &source, Simulator::new()));
     }
 
     #[test]
@@ -557,7 +442,7 @@ mod tests {
         let configs: Vec<PredictorConfig> = (0..13)
             .map(|n| PredictorConfig::AddressIndexed { addr_bits: n })
             .collect();
-        let results = run_batched(&configs, &trace(400), Simulator::new(), 4);
+        let results = run_configs(&configs, &trace(400), Simulator::new());
         assert_eq!(results.len(), 13);
         for (cfg, r) in configs.iter().zip(&results) {
             assert_eq!(r.predictor, cfg.build().name());
@@ -567,33 +452,26 @@ mod tests {
     #[test]
     fn warmup_is_honoured_per_lane() {
         let configs = vec![PredictorConfig::AlwaysTaken, PredictorConfig::Btfn];
-        let results = run_batched(&configs, &trace(100), Simulator::with_warmup(40), 2);
+        let results = run_configs(&configs, &trace(100), Simulator::with_warmup(40));
         assert!(results.iter().all(|r| r.conditionals == 60));
     }
 
     #[test]
     fn empty_config_list_is_empty_result() {
-        let results = run_batched(&[], &trace(10), Simulator::new(), 8);
-        assert!(results.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "shard size must be positive")]
-    fn zero_shard_size_panics() {
-        let _ = run_batched(&mixed_configs(), &trace(10), Simulator::new(), 0);
+        assert!(run_configs(&[], &trace(10), Simulator::new()).is_empty());
     }
 
     #[test]
     #[should_panic(expected = "chunk length must be positive")]
     fn zero_chunk_len_panics() {
-        let _ = run_batched_chunked(&mixed_configs(), &trace(10), Simulator::new(), 4, 0);
+        let _ = run_chunked(&mixed_configs(), &trace(10), Simulator::new(), 0, 1);
     }
 
     #[test]
     fn replayed_records_counter_advances_by_lanes_times_records() {
         let configs = mixed_configs();
         let before = records_replayed_total();
-        let _ = run_batched(&configs, &trace(1_000), Simulator::new(), 2);
+        let _ = run_configs(&configs, &trace(1_000), Simulator::new());
         let grew = records_replayed_total() - before;
         // Other tests may replay concurrently, so the counter can only
         // be bounded from below by this run's contribution.
@@ -622,9 +500,9 @@ mod tests {
 
         // Thread count never changes results.
         std::env::set_var("BPRED_THREADS", "1");
-        let pinned = run_batched(&mixed_configs(), &trace(500), Simulator::new(), 2);
+        let pinned = run_configs(&sharded_configs(), &trace(500), Simulator::new());
         std::env::remove_var("BPRED_THREADS");
-        let free = run_batched(&mixed_configs(), &trace(500), Simulator::new(), 2);
+        let free = run_configs(&sharded_configs(), &trace(500), Simulator::new());
         assert_eq!(pinned, free);
     }
 
@@ -642,16 +520,5 @@ mod tests {
         assert!(mutex.is_poisoned());
         lock_ignoring_poison(&mutex)[0] = 7;
         assert_eq!(mutex.into_inner().unwrap_or_else(|p| p.into_inner())[0], 7);
-    }
-
-    #[test]
-    fn streaming_source_needs_no_materialised_trace() {
-        use bpred_workloads::{suite, WorkloadSource};
-        let model = suite::espresso().scaled(2_000);
-        let source = WorkloadSource::new(model.clone(), 11);
-        let configs = mixed_configs();
-        let streamed = run_batched_default(&configs, &source, Simulator::new());
-        let materialised = run_batched_default(&configs, &model.trace(11), Simulator::new());
-        assert_eq!(streamed, materialised);
     }
 }

@@ -41,8 +41,7 @@ use std::sync::{Arc, OnceLock, RwLock};
 use bpred_core::PredictorConfig;
 use bpred_trace::{fnv, TraceSource};
 
-use crate::batch::{run_batched, DEFAULT_SHARD_SIZE};
-use crate::{SimResult, Simulator};
+use crate::{run_configs, SimResult, Simulator};
 
 /// Version of the replay/generation semantics baked into every cache
 /// key. Bump this whenever a change makes any `(source id, config,
@@ -147,7 +146,7 @@ pub fn installed() -> Option<Arc<dyn ResultCache>> {
     registry().read().expect("cache registry poisoned").clone()
 }
 
-/// [`run_configs`](crate::run_configs) with cache keying: when a
+/// [`run_configs`] with cache keying: when a
 /// `source_id` is given and a process-wide cache is
 /// [installed](install), cached cells are returned without replaying
 /// the source, and only the misses are simulated (still batched
@@ -161,7 +160,7 @@ pub fn installed() -> Option<Arc<dyn ResultCache>> {
 /// under the same [`ENGINE_VERSION`].
 ///
 /// With `source_id` of `None`, or no installed cache, this is exactly
-/// [`run_configs`](crate::run_configs).
+/// [`run_configs`].
 pub fn run_configs_keyed<S>(
     configs: &[PredictorConfig],
     source: &S,
@@ -173,7 +172,7 @@ where
 {
     let cache = source_id.and_then(|_| installed());
     let (Some(source_id), Some(cache)) = (source_id, cache) else {
-        return run_batched(configs, source, simulator, DEFAULT_SHARD_SIZE);
+        return run_configs(configs, source, simulator);
     };
 
     let keys: Vec<CellKey> = configs
@@ -188,7 +187,7 @@ where
         .collect();
     if !miss_indices.is_empty() {
         let miss_configs: Vec<PredictorConfig> = miss_indices.iter().map(|&i| configs[i]).collect();
-        let computed = run_batched(&miss_configs, source, simulator, DEFAULT_SHARD_SIZE);
+        let computed = run_configs(&miss_configs, source, simulator);
         for (&i, result) in miss_indices.iter().zip(computed) {
             cache.put(&keys[i], &result);
             results[i] = Some(result);

@@ -14,35 +14,34 @@
 //! borrow, so attaching any combination of them cannot change results
 //! (enforced by `tests/observers.rs` at the workspace root).
 //!
-//! # Batched replay
+//! # Sweeps
 //!
-//! Sweeps route through the chunked decode-once engine
-//! ([`run_batched`]): any
+//! [`run_configs`] is the one sweep entry point (with
+//! [`run_configs_keyed`] adding the result cache in front of it): any
 //! [`TraceSource`](bpred_trace::TraceSource) — a materialised
 //! [`Trace`](bpred_trace::Trace) or a workload generator — is
 //! generated/decoded into structure-of-arrays
 //! [`TraceChunk`](bpred_trace::TraceChunk)s **once per sweep**, and
-//! every configuration's lane replays that single chunk sequence.
-//! With one worker the chunks are produced inline; with more, a
-//! producer thread publishes them into a bounded ref-counted ring
-//! shared by all shard workers, overlapping trace production with
-//! replay. Results are bit-identical to [`Simulator::run`] per
-//! configuration (enforced by `tests/determinism.rs` at the
-//! workspace root). Shard sizing: [`DEFAULT_SHARD_SIZE`] (8) fits
-//! the paper's predictor sizes; shrink it when a shard's combined
-//! predictor state would fall out of cache. The pre-pipeline engine
-//! is retained as [`run_batched_per_shard`], and
-//! [`records_replayed_total`] exposes the pipeline's process-wide
-//! replay counter.
+//! every configuration replays that chunk sequence in a [`LaneSet`]:
+//! stateless schemes as popcounts, every other scheme in a fused lane
+//! group of its [`WalkPlan`](bpred_core::WalkPlan) kind (module
+//! [`multilane`]). With one worker the chunks are produced inline;
+//! with more, a producer thread shares them between workers that each
+//! own [`DEFAULT_SHARD_SIZE`]-configuration shards. [`run_config`]
+//! replays one configuration on the scalar kernel, the oracle the
+//! fused groups are checked against: results are bit-identical to
+//! [`Simulator::run`] per configuration (enforced by
+//! `tests/determinism.rs` and `tests/multilane.rs` at the workspace
+//! root). [`records_replayed_total`] exposes the driver's
+//! process-wide replay counter.
 //!
 //! # Running the test suite
 //!
 //! `cargo test -q` at the workspace root runs the tier-1 integration
 //! tests (paper claims, determinism, golden workload statistics);
 //! `cargo test -q --workspace` adds per-crate unit and property
-//! tests; `cargo bench -p bpred-bench --bench sweeps` measures the
-//! batched engine against the retained per-configuration baseline
-//! ([`run_configs_per_config`]).
+//! tests; `cargo bench -p bpred-bench --bench sweeps` times
+//! [`run_configs`] on representative sweeps.
 //!
 //! # Examples
 //!
@@ -62,7 +61,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 mod batch;
 pub mod cache;
@@ -78,21 +76,18 @@ mod replicate;
 pub mod report;
 mod ring;
 mod surface;
-mod sweep;
 
 pub use batch::{
     records_replayed_total, replay_group_lanes, replay_pairs_per_sec, replay_prefetch_groups,
-    replay_scalar_lanes, run_batched, run_batched_chunked, run_batched_default,
-    run_batched_per_shard, DEFAULT_SHARD_SIZE,
+    replay_scalar_lanes, run_config, run_configs, DEFAULT_SHARD_SIZE,
 };
 pub use cache::{run_configs_keyed, CellKey, ResultCache, ENGINE_VERSION};
 pub use cost::CpiModel;
 pub use engine::{SimResult, Simulator};
 pub use interference::{InterferenceObserver, InterferenceStats};
-pub use multilane::{dispatch_tier, replay_multilane, LaneSet, LANE_TIER_LABELS};
+pub use multilane::{dispatch_tier, LaneSet, LANE_TIER_LABELS};
 pub use profiled::{BranchOutcomeCounts, BranchProfiler, ProfiledRun};
 pub use replay::{Observer, ReplayCore};
 pub use replicate::{replicate, Replication};
 pub use report::TextTable;
 pub use surface::{Surface, SurfacePoint, Tier};
-pub use sweep::{run_config, run_configs, run_configs_per_config};

@@ -1,85 +1,42 @@
 //! Multi-lane replay: many predictor configurations advance through
-//! one record stream with data-parallel kernels.
+//! one record stream in fused lane groups.
 //!
-//! The scalar batch engine replays lane-major: each lane walks a whole
-//! chunk through its own serial predict/update chain, so throughput is
-//! bounded by the latency of one chain. [`LaneSet`] regroups the work
-//! by *dispatch tier* so independent lanes (and, for history-free
-//! schemes, independent records) are stepped together:
+//! The scalar replay core walks a whole chunk through one lane's
+//! serial predict/update chain at a time, so throughput is bounded by
+//! the latency of that chain and every lane re-decodes the chunk.
+//! [`LaneSet`] instead decodes each chunk once into shared columns and
+//! regroups the lanes:
 //!
 //! * **Record-parallel statics** — always-taken, always-not-taken and
 //!   BTFN have no state, so whole chunks collapse into popcounts over
 //!   the [`TraceChunk`] metadata words (sixteen records per `u64` op)
 //!   and one branchless pass over the pc/target columns.
-//! * **Lane groups** — every configuration whose lookup reduces to a
+//! * **Fused lane groups** — every other configuration reduces to a
 //!   [`WalkPlan`] (a first-level history read, one to three counter
-//!   reads over a shared arena, and a combine/update rule) shares a
-//!   monomorphic loop with the other lanes of the same [`PlanKind`]:
-//!   the chunk metadata is reduced to a dense `(pc, taken)`
-//!   conditional list once (sixteen records per `u64` nibble op), and
-//!   up to [`cell::PACKED_LANES`] lanes step their packed cells
-//!   through a shared arena. The original global-history family
-//!   (address-indexed, GAg/GAs, gshare) runs the single-read *fused*
-//!   loop of [`GlobalGroup`], lane-major with all lane parameters and
-//!   accumulators register-resident; PAg/PAs (perfect or finite
-//!   first level) and SAg/SAs add a per-address/per-set history read
-//!   in front of the same counter step ([`TwoLevelGroup`]); agree,
-//!   bi-mode and gskew run their dealiased combine rules
-//!   ([`AgreeGroup`], [`BiModeGroup`], [`GskewGroup`]); the
-//!   multi-structure schemes run their own fused loops — tournament's
-//!   chooser over two component reads ([`TournamentGroup`]), YAGS's
-//!   tagged exception caches over a choice bias ([`TaggedGroup`]),
-//!   path-based row selection fed by every control transfer
-//!   ([`PathGroup`]), and the one-bit LastTime table
-//!   ([`LastTimeGroup`]). Groups iterate lanes in *row-blocked* order
-//!   (descending region size, ties by configuration position — the
-//!   same order the arena placer assigns bases), so consecutive lanes
-//!   of a sweep walk adjacent arena regions and same-row reads land
-//!   in neighbouring cache lines. Two
-//!   record-major variants of the single-read loop are kept behind
-//!   `BPRED_GROUP_STEP` — one stepping every gathered counter in a
-//!   single [`cell::step_packed`] word op, one stepping per lane —
-//!   to decompose where the speedup comes from. With the
-//!   off-by-default `portable-simd` feature the single-read group
-//!   instead runs eight lanes per `std::simd` gather/scatter vector.
-//! * **Scalar fallback** — every scheme without a plan (today only
-//!   the degenerate zero-bit gskew bank, plus everything when
-//!   `BPRED_FORCE_SCALAR` is set) replays through the hoisted
-//!   [`ReplayCore`] dispatch unchanged. The scalar kernel remains the
-//!   oracle: multilane results are bit-identical by construction and
-//!   by test (`tests/multilane.rs` at the workspace root).
-//!
-//! Lane grouping never straddles plan kinds: a group holds only
-//! configurations whose per-record transition is structurally
-//! identical (same first-level shape, same read count, same combine
-//! rule), so one monomorphic loop serves the whole group.
+//!   reads over a shared arena, and a combine/update rule). Lanes of
+//!   the same [`PlanKind`] share a group of up to 32 lanes, and each
+//!   group runs one monomorphic lane-major loop over the chunk's dense
+//!   `(pc, taken)` conditional column, with every lane parameter,
+//!   history register and accumulator held in locals. Each lane owns
+//!   power-of-two regions of the group's arena, placed in descending
+//!   size order, and lanes are iterated in that same order, so
+//!   consecutive lanes walk adjacent regions. A group whose arena
+//!   outgrows [`PREFETCH_SPILL_BYTES`] runs the single-read loop in a
+//!   blocked form that touches the upcoming arena slots before the
+//!   counter read-modify-write consumes them.
+//! * **Scalar lanes** — under `BPRED_FORCE_SCALAR` every lane replays
+//!   through the hoisted [`ReplayCore`] dispatch instead. The scalar
+//!   kernels are the oracle: fused results are bit-identical by
+//!   construction and by test (`tests/multilane.rs` at the workspace
+//!   root runs under both settings in CI).
 //!
 //! # Environment knobs
 //!
 //! * `BPRED_FORCE_SCALAR` — any value other than empty/`0` pins every
-//!   lane to the scalar tier (the determinism suite runs under this in
-//!   CI).
-//! * `BPRED_GROUP_STEP=scalar` — single-read lane groups go
-//!   record-major and step counters one lane at a time (isolates the
-//!   grouping + decode-once win); `BPRED_GROUP_STEP=swar` —
-//!   record-major with the packed [`cell::step_packed`] counter step
-//!   (isolates the packed step). Any other value selects the fused
-//!   lane-major default. Used to decompose the speedup in
-//!   EXPERIMENTS.md.
-//! * `BPRED_GROUP_PREFETCH=auto|on|off` — whether the single-read
-//!   fused loop runs in a blocked two-phase form: a short
-//!   address-generation pass touches the upcoming arena slots (the
-//!   known hot gather) before the counter read-modify-write pass
-//!   consumes them. The default `auto` turns the two-phase form on
-//!   only for groups whose arena footprint exceeds the spill
-//!   threshold (`BPRED_GROUP_PREFETCH_THRESHOLD`, bytes, default
-//!   [`PREFETCH_SPILL_BYTES`]): prefetch costs ~4% while arenas stay
-//!   cache-resident and only earns its keep once the gather misses.
-//!   `on`/`off` (or the legacy `1`/`0`) force it either way.
-//!
-//! None of the knobs changes results, only the code path that computes
-//! them.
+//!   lane to the scalar tier. It changes the code path, never the
+//!   results.
 
+use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use bpred_core::{
@@ -87,34 +44,38 @@ use bpred_core::{
     PredictorConfig, PredictorKernel, SetAssocBht, TableRead, TwoBitCounter, WalkPlan,
     SKEW_BANK_MULTIPLIERS,
 };
-use bpred_trace::{Outcome, TraceChunk, TraceSource};
+use bpred_trace::{Outcome, TraceChunk};
 
 use crate::{ReplayCore, SimResult, Simulator};
-
-/// One scalar-tier lane: a [`ReplayCore`] over the enum-dispatched
-/// kernel, exactly as the pre-multilane batch engine ran it.
-type Lane = ReplayCore<PredictorKernel>;
 
 /// Mask of the low bit of every 4-bit metadata field in a chunk
 /// metadata word.
 const NIBBLE_LO: u64 = 0x1111_1111_1111_1111;
 
-/// Records per block of the two-phase prefetch form of the fused loop
-/// (`BPRED_GROUP_PREFETCH`): long enough to cover the load latency the
-/// touch pass hides, short enough that the touched lines are still
-/// resident when the read-modify-write pass consumes them.
+/// Records per block of the prefetching form of the single-read loop:
+/// long enough to cover the load latency the touch pass hides, short
+/// enough that the touched lines are still resident when the
+/// read-modify-write pass consumes them.
 const PREFETCH_WINDOW: usize = 16;
 
-/// `bits` low ones (0 for `bits == 0`); widths here are at most
-/// [`bpred_core::TableGeometry::MAX_TOTAL_BITS`].
-#[inline]
-fn low_mask(bits: u32) -> u64 {
-    (1u64 << bits) - 1
-}
+/// Most lanes one group holds; larger same-kind sets split into
+/// several groups.
+const GROUP_LANES: usize = 32;
 
-/// `bits` low ones for any width `0..=64` — [`low_mask`] is enough
-/// for table geometries (≤ 30 bits), but gskew history registers may
-/// be up to 64 bits wide.
+/// The empty-entry tag of a YAGS direction-cache cell, matching the
+/// scalar cache's `u16::MAX` sentinel (partial tags are at most 8
+/// bits, so the sentinel is unreachable).
+const YAGS_EMPTY_TAG: u64 = u16::MAX as u64;
+
+/// Arena footprint (bytes) above which a single-read group runs its
+/// prefetching loop: the point where the arena has outgrown a typical
+/// L2 and the gather starts missing. Prefetch costs ~4% while arenas
+/// stay cache-resident and gains ~26% once they spill
+/// (EXPERIMENTS.md, "Spill-scale sweeps").
+pub const PREFETCH_SPILL_BYTES: u64 = 4 << 20;
+
+/// `bits` low ones for any width `0..=64` (gskew history registers may
+/// be up to 64 bits wide).
 #[inline]
 fn wide_low_mask(bits: u32) -> u64 {
     match bits {
@@ -143,93 +104,15 @@ fn force_scalar() -> bool {
     matches!(std::env::var("BPRED_FORCE_SCALAR"), Ok(v) if !v.is_empty() && v != "0")
 }
 
-/// Default arena-footprint threshold (bytes) above which
-/// [`PrefetchMode::Auto`] turns the two-phase prefetch form on: the
-/// point where a group's arena has outgrown a typical L2 and the
-/// gather starts missing. Overridable via
-/// `BPRED_GROUP_PREFETCH_THRESHOLD`.
-pub const PREFETCH_SPILL_BYTES: u64 = 4 << 20;
-
-/// The `BPRED_GROUP_PREFETCH` policy: whether a lane group runs the
-/// blocked two-phase fused loop with arena-slot prefetch (module
-/// docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum PrefetchMode {
-    /// Footprint-gated: on only when the group's arena exceeds the
-    /// spill threshold. The default.
-    Auto,
-    /// Always on (legacy `1` accepted).
-    On,
-    /// Always off (legacy `0` accepted).
-    Off,
-}
-
-impl PrefetchMode {
-    /// Resolves the policy for one group given its arena footprint.
-    fn resolve(self, arena_bytes: u64, threshold: u64) -> bool {
-        match self {
-            PrefetchMode::On => true,
-            PrefetchMode::Off => false,
-            PrefetchMode::Auto => arena_bytes > threshold,
-        }
-    }
-}
-
-/// The `BPRED_GROUP_PREFETCH` knob (module docs): unset/empty/`auto`
-/// gate on arena footprint, `off`/`0` force off, anything else
-/// (including the legacy `1`) forces on.
-fn group_prefetch() -> PrefetchMode {
-    match std::env::var("BPRED_GROUP_PREFETCH").as_deref() {
-        Err(_) | Ok("") | Ok("auto") => PrefetchMode::Auto,
-        Ok("off") | Ok("0") => PrefetchMode::Off,
-        Ok(_) => PrefetchMode::On,
-    }
-}
-
-/// The spill threshold (bytes) for [`PrefetchMode::Auto`]:
-/// `BPRED_GROUP_PREFETCH_THRESHOLD` or [`PREFETCH_SPILL_BYTES`].
-fn prefetch_threshold() -> u64 {
-    std::env::var("BPRED_GROUP_PREFETCH_THRESHOLD")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(PREFETCH_SPILL_BYTES)
-}
-
-/// Counter-step strategy inside a lane group (see the module docs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GroupStep {
-    /// Lane-major with register-resident parameters and a fused
-    /// branch-free cell step — the default (fastest) tier.
-    Fused,
-    /// Record-major, all gathered counters stepped in one
-    /// [`cell::step_packed`] word op (decomposition knob).
-    RecordSwar,
-    /// Record-major, counters stepped one lane at a time through the
-    /// scalar oracle [`cell::step`] (decomposition knob).
-    RecordScalar,
-}
-
-/// The `BPRED_GROUP_STEP` decomposition knob (module docs).
-fn group_step() -> GroupStep {
-    match std::env::var("BPRED_GROUP_STEP").as_deref() {
-        Ok("swar") => GroupStep::RecordSwar,
-        Ok("scalar") => GroupStep::RecordScalar,
-        _ => GroupStep::Fused,
-    }
-}
-
 /// The dispatch tier the next [`LaneSet`] will use for groupable
-/// configurations: `"scalar"` under `BPRED_FORCE_SCALAR`, `"simd"`
-/// when the `portable-simd` feature is compiled in, `"swar"`
+/// configurations: `"scalar"` under `BPRED_FORCE_SCALAR`, `"fused"`
 /// otherwise. Exported (with this label) as the
 /// `bpred_replay_pairs_per_sec` gauge's `tier` by `bpred-serve`.
 pub fn dispatch_tier() -> &'static str {
     if force_scalar() {
         "scalar"
-    } else if cfg!(feature = "portable-simd") {
-        "simd"
     } else {
-        "swar"
+        "fused"
     }
 }
 
@@ -251,6 +134,29 @@ pub const LANE_TIER_LABELS: [&str; 13] = [
     "static",
     "scalar",
 ];
+
+/// Index of the census slot for the static tier.
+const STATIC_TIER: usize = 11;
+/// Index of the census slot for the scalar tier.
+const SCALAR_TIER: usize = 12;
+
+/// The [`LANE_TIER_LABELS`] slot of a plan kind. Groups are also built
+/// in this order.
+fn tier_of(kind: PlanKind) -> usize {
+    match kind {
+        PlanKind::Direct => 0,
+        PlanKind::PerAddressPerfect => 1,
+        PlanKind::PerAddressFinite => 2,
+        PlanKind::PerSet => 3,
+        PlanKind::AgreeBias => 4,
+        PlanKind::BiModeChoice => 5,
+        PlanKind::SkewedMajority => 6,
+        PlanKind::TournamentChooser => 7,
+        PlanKind::TaggedChoice => 8,
+        PlanKind::PathHistory => 9,
+        PlanKind::LastOutcome => 10,
+    }
+}
 
 /// Conditional/taken-conditional counts of a chunk, sixteen records
 /// per word op: a record is conditional when its three kind bits are
@@ -399,436 +305,11 @@ fn btfn_wrong(chunk: &TraceChunk) -> u64 {
     wrong
 }
 
-/// Per-lane parameters of one groupable configuration, before arena
-/// placement.
-struct GroupSpec {
-    index: usize,
-    name: String,
-    state_bits: u64,
-    row_bits: u32,
-    col_bits: u32,
-    /// gshare XORs row-address bits into the history row.
-    xor: bool,
-    /// Whether the scheme keeps a history register at all
-    /// (address-indexed does not).
-    history: bool,
-}
-
-impl GroupSpec {
-    fn cells(&self) -> u64 {
-        1u64 << (self.row_bits + self.col_bits)
-    }
-}
-
-/// A lane group: up to [`cell::PACKED_LANES`] global-family lanes
-/// stepping record-major through a shared cell arena.
-///
-/// Lane parameters and accumulators are structure-of-arrays so the
-/// inner loop (and its `portable-simd` twin) reads them as flat
-/// vectors. Each lane owns a power-of-two region of the arena at a
-/// base offset aligned to its size (lanes are placed in descending
-/// size order), so `base | idx` is the lane's slot and regions never
-/// overlap — which also makes the SIMD scatter safe.
-#[derive(Debug)]
-struct GlobalGroup {
-    /// Result slot per lane in the caller's configuration order.
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    // Per-lane parameters (structure-of-arrays).
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    /// Value `hist` equals exactly when the history pattern is
-    /// all-taken; `u64::MAX` sentinel when the scheme has no (or a
-    /// zero-width) history register, which `hist` can never reach.
-    all_taken_ref: Vec<u64>,
-    xor_mask: Vec<u64>,
-    row_mask: Vec<u64>,
-    col_shift: Vec<u64>,
-    col_mask: Vec<u64>,
-    base: Vec<u64>,
-    // Per-lane accumulators.
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
-    /// Per-record slot scratch for the two-phase SWAR step.
-    slots: Vec<usize>,
-    /// All lanes' packed counter cells.
-    arena: Vec<u64>,
-    /// `arena.len() - 1` (length is a power of two): slots are already
-    /// in range, but masking lets the compiler drop the bounds check.
-    arena_mask: u64,
-    /// Which group step to run (`BPRED_GROUP_STEP`). The explicit-SIMD
-    /// tier supersedes all three, so the knob is inert under
-    /// `portable-simd`.
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    step: GroupStep,
-    /// Whether the fused loop runs its blocked two-phase prefetch form
-    /// (`BPRED_GROUP_PREFETCH`). Inert for the record-major and SIMD
-    /// paths.
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    prefetch: bool,
-}
-
-impl GlobalGroup {
-    fn new(mut specs: Vec<GroupSpec>, step: GroupStep, prefetch: PrefetchMode) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        // Descending size order: every earlier region is a multiple of
-        // each later size, so each base is aligned to its lane's size
-        // and `base | idx` is exact addition.
-        specs.sort_by(|a, b| b.cells().cmp(&a.cells()).then(a.index.cmp(&b.index)));
-        let lanes = specs.len();
-        let mut group = GlobalGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            xor_mask: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            col_shift: Vec::with_capacity(lanes),
-            col_mask: Vec::with_capacity(lanes),
-            base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            slots: vec![0; lanes],
-            arena: Vec::new(),
-            arena_mask: 0,
-            step,
-            prefetch: false,
-        };
-        let mut next_base = 0u64;
-        for spec in specs {
-            let row_mask = low_mask(spec.row_bits);
-            let cells = spec.cells();
-            group.indices.push(spec.index);
-            group.state_bits.push(spec.state_bits);
-            group.names.push(spec.name);
-            group
-                .hist_mask
-                .push(if spec.history { row_mask } else { 0 });
-            group
-                .all_taken_ref
-                .push(if spec.history && spec.row_bits > 0 {
-                    row_mask
-                } else {
-                    u64::MAX
-                });
-            group.xor_mask.push(if spec.xor { row_mask } else { 0 });
-            group.row_mask.push(row_mask);
-            group.col_shift.push(u64::from(spec.col_bits));
-            group.col_mask.push(low_mask(spec.col_bits));
-            group.base.push(next_base);
-            next_base += cells;
-        }
-        let arena_len = next_base.next_power_of_two().max(1) as usize;
-        let fresh = cell::fresh(TwoBitCounter::default().state().bits());
-        group.arena = vec![fresh; arena_len];
-        group.arena_mask = (arena_len - 1) as u64;
-        // Footprint-gate the two-phase prefetch form now that the
-        // arena size is known (8 bytes per packed cell).
-        group.prefetch = prefetch.resolve(8 * arena_len as u64, prefetch_threshold());
-        group
-    }
-
-    /// Feeds a chunk's dense conditional stream (elements
-    /// `(pc << 1) | taken`, non-conditionals already dropped — a no-op
-    /// for this family) through all lanes. `seen`/`warmup` reproduce
-    /// the scalar core's warmup scoring exactly.
-    fn replay_conditionals(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        #[cfg(feature = "portable-simd")]
-        {
-            self.replay_record_major(stream, seen, warmup, Self::step_record_simd);
-        }
-        #[cfg(not(feature = "portable-simd"))]
-        match self.step {
-            GroupStep::Fused if self.prefetch => self.replay_fused_prefetch(stream, seen, warmup),
-            GroupStep::Fused => self.replay_fused(stream, seen, warmup),
-            GroupStep::RecordSwar => {
-                self.replay_record_major(stream, seen, warmup, |group, w, t, tk, s| {
-                    group.step_record_swar(w, t, tk, s, 0)
-                })
-            }
-            GroupStep::RecordScalar => {
-                self.replay_record_major(stream, seen, warmup, Self::step_record_scalar)
-            }
-        }
-    }
-
-    /// Drives one of the record-major step kernels over the
-    /// conditional stream.
-    fn replay_record_major(
-        &mut self,
-        stream: &[u64],
-        seen: u64,
-        warmup: u64,
-        mut step: impl FnMut(&mut Self, u64, u64, u64, u64),
-    ) {
-        for (i, &packed) in stream.iter().enumerate() {
-            let scored = (seen + i as u64 >= warmup) as u64;
-            let pc = packed >> 1;
-            step(self, pc >> 2, cell::tag(pc), packed & 1, scored);
-        }
-    }
-
-    /// The default group kernel (superseded by the vector kernel when
-    /// `portable-simd` is compiled in): lane-major over the conditional
-    /// stream with every lane parameter, the history register, and all
-    /// three accumulators held in locals, so the inner loop touches
-    /// memory only for the (shared, cache-hot) conditional columns and
-    /// the lane's own arena region. The cell step is fused and
-    /// branch-free, semantically [`cell::step`].
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    fn replay_fused(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.hist.len() {
-            let col_shift = self.col_shift[lane];
-            let xor_mask = self.xor_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let col_mask = self.col_mask[lane];
-            let base = self.base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            // Masking by `len - 1` (a power of two) also elides the
-            // bounds check.
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let row = (hist ^ ((word >> col_shift) & xor_mask)) & row_mask;
-                let idx = (row << col_shift) | (word & col_mask);
-                let slot = ((base | idx) as usize) & mask;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & ((hist == all_taken_ref) as u64);
-                wrong += scored & ((bits >= 2) as u64 ^ taken);
-                hist = ((hist << 1) | taken) & hist_mask;
-                // Saturating two-bit step: +1 below strong taken when
-                // taken, -1 above strong not-taken otherwise.
-                let inc = ((bits < 3) as u64) & taken;
-                let dec = ((bits > 0) as u64) & (1 - taken);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
-        }
-    }
-
-    /// The fused loop in blocked two-phase form
-    /// (`BPRED_GROUP_PREFETCH`): per window of [`PREFETCH_WINDOW`]
-    /// records, an address-generation pass runs the (arena-independent)
-    /// index and history recurrence, touches each upcoming arena slot —
-    /// the gather is the loop's one data-dependent load — and parks
-    /// `(slot << 1) | all_taken` in scratch; the second pass then
-    /// performs the identical counter read-modify-write and scoring.
-    /// Bit-identical to [`replay_fused`](Self::replay_fused) (the
-    /// in-window touch reads are value-discarded, and the RMW pass is
-    /// sequential).
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    fn replay_fused_prefetch(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.hist.len() {
-            let col_shift = self.col_shift[lane];
-            let xor_mask = self.xor_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let col_mask = self.col_mask[lane];
-            let base = self.base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            let mut scratch = [0u64; PREFETCH_WINDOW];
-            let mut start = 0usize;
-            while start < stream.len() {
-                let end = stream.len().min(start + PREFETCH_WINDOW);
-                let block = &stream[start..end];
-                let mut h = hist;
-                for (j, &packed) in block.iter().enumerate() {
-                    let taken = packed & 1;
-                    let word = packed >> 3;
-                    let row = (h ^ ((word >> col_shift) & xor_mask)) & row_mask;
-                    let idx = (row << col_shift) | (word & col_mask);
-                    let slot = ((base | idx) as usize) & mask;
-                    scratch[j] = ((slot as u64) << 1) | ((h == all_taken_ref) as u64);
-                    // Safe-code prefetch: pull the cell's line now, drop
-                    // the value.
-                    std::hint::black_box(arena[slot]);
-                    h = ((h << 1) | taken) & hist_mask;
-                }
-                for (j, &packed) in block.iter().enumerate() {
-                    let scored = (seen + (start + j) as u64 >= warmup) as u64;
-                    let taken = packed & 1;
-                    let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                    let slot = (scratch[j] >> 1) as usize;
-                    let all_taken = scratch[j] & 1;
-                    let cell_word = arena[slot];
-                    let owner = cell_word >> 2;
-                    let bits = cell_word & 0b11;
-                    let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                    conflicts += conflict;
-                    harmless += conflict & all_taken;
-                    wrong += scored & ((bits >= 2) as u64 ^ taken);
-                    let inc = ((bits < 3) as u64) & taken;
-                    let dec = ((bits > 0) as u64) & (1 - taken);
-                    arena[slot] = (tag << 2) | (bits + inc - dec);
-                }
-                hist = h;
-                start = end;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
-        }
-    }
-
-    /// Two-phase record step over lanes `[first, K)`: per-lane slot
-    /// computation, gather, score and history push, then one
-    /// [`cell::step_packed`] word op advances every gathered counter
-    /// at once and the second loop scatters the re-tagged cells back.
-    fn step_record_swar(&mut self, word: u64, tag: u64, taken: u64, scored: u64, first: usize) {
-        let lanes = self.hist.len();
-        let mut packed = 0u64;
-        for lane in first..lanes {
-            let row = (self.hist[lane] ^ ((word >> self.col_shift[lane]) & self.xor_mask[lane]))
-                & self.row_mask[lane];
-            let idx = (row << self.col_shift[lane]) | (word & self.col_mask[lane]);
-            let slot = ((self.base[lane] | idx) & self.arena_mask) as usize;
-            self.slots[lane] = slot;
-            let cell_word = self.arena[slot];
-            let owner = cell_word >> 2;
-            let bits = cell_word & 0b11;
-            packed |= bits << (2 * (lane - first));
-            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-            let all_taken = (self.hist[lane] == self.all_taken_ref[lane]) as u64;
-            self.conflicts[lane] += conflict;
-            self.harmless[lane] += conflict & all_taken;
-            self.mispredictions[lane] += scored & ((bits >= 2) as u64 ^ taken);
-            self.hist[lane] = ((self.hist[lane] << 1) | taken) & self.hist_mask[lane];
-        }
-        let stepped = cell::step_packed(packed, Outcome::from_bit(taken));
-        let owner_bits = tag << 2;
-        for lane in first..lanes {
-            self.arena[self.slots[lane]] = owner_bits | ((stepped >> (2 * (lane - first))) & 0b11);
-        }
-    }
-
-    /// Record-major step with per-lane counter transitions through the
-    /// scalar oracle [`cell::step`] — the `BPRED_GROUP_STEP=scalar`
-    /// decomposition path (lane grouping without SWAR).
-    #[cfg_attr(feature = "portable-simd", allow(dead_code))]
-    fn step_record_scalar(&mut self, word: u64, tag: u64, taken: u64, scored: u64) {
-        let outcome = Outcome::from_bit(taken);
-        for lane in 0..self.hist.len() {
-            let row = (self.hist[lane] ^ ((word >> self.col_shift[lane]) & self.xor_mask[lane]))
-                & self.row_mask[lane];
-            let idx = (row << self.col_shift[lane]) | (word & self.col_mask[lane]);
-            let slot = ((self.base[lane] | idx) & self.arena_mask) as usize;
-            let (predicted, conflict, next) = cell::step(self.arena[slot], tag, outcome);
-            self.arena[slot] = next;
-            let all_taken = (self.hist[lane] == self.all_taken_ref[lane]) as u64;
-            self.conflicts[lane] += conflict as u64;
-            self.harmless[lane] += conflict as u64 & all_taken;
-            self.mispredictions[lane] += scored & ((predicted.is_taken() as u64) ^ taken);
-            self.hist[lane] = ((self.hist[lane] << 1) | taken) & self.hist_mask[lane];
-        }
-    }
-
-    /// Explicit-SIMD record step: eight lanes per `std::simd` vector
-    /// gather/score/scatter, with the SWAR path covering the
-    /// remainder. Semantics are identical to
-    /// [`step_record_swar`](Self::step_record_swar) over all lanes.
-    #[cfg(feature = "portable-simd")]
-    fn step_record_simd(&mut self, word: u64, tag: u64, taken: u64, scored: u64) {
-        use std::simd::cmp::{SimdPartialEq, SimdPartialOrd};
-        use std::simd::num::SimdUint;
-        use std::simd::{Select, Simd};
-
-        const N: usize = 8;
-        let lanes = self.hist.len();
-        let blocks = lanes / N * N;
-        let word_v = Simd::<u64, N>::splat(word);
-        let tag_v = Simd::<u64, N>::splat(tag);
-        let taken_v = Simd::<u64, N>::splat(taken);
-        let scored_v = Simd::<u64, N>::splat(scored);
-        let zero = Simd::<u64, N>::splat(0);
-        let one = Simd::<u64, N>::splat(1);
-        for b in (0..blocks).step_by(N) {
-            let hist = Simd::from_slice(&self.hist[b..b + N]);
-            let col_shift = Simd::from_slice(&self.col_shift[b..b + N]);
-            let row = (hist ^ ((word_v >> col_shift) & Simd::from_slice(&self.xor_mask[b..b + N])))
-                & Simd::from_slice(&self.row_mask[b..b + N]);
-            let idx = (row << col_shift) | (word_v & Simd::from_slice(&self.col_mask[b..b + N]));
-            let slot = ((Simd::from_slice(&self.base[b..b + N]) | idx)
-                & Simd::splat(self.arena_mask))
-            .cast::<usize>();
-            let cells = Simd::gather_or_default(&self.arena, slot);
-            let owner = cells >> Simd::splat(2u64);
-            let bits = cells & Simd::splat(3u64);
-            let conflict = (!(owner.simd_eq(Simd::splat(cell::EMPTY_OWNER))
-                | owner.simd_eq(tag_v)))
-            .select(one, zero);
-            let all_taken = hist
-                .simd_eq(Simd::from_slice(&self.all_taken_ref[b..b + N]))
-                .select(one, zero);
-            (Simd::from_slice(&self.conflicts[b..b + N]) + conflict)
-                .copy_to_slice(&mut self.conflicts[b..b + N]);
-            (Simd::from_slice(&self.harmless[b..b + N]) + (conflict & all_taken))
-                .copy_to_slice(&mut self.harmless[b..b + N]);
-            let predicted = bits.simd_ge(Simd::splat(2)).select(one, zero);
-            (Simd::from_slice(&self.mispredictions[b..b + N]) + (scored_v & (predicted ^ taken_v)))
-                .copy_to_slice(&mut self.mispredictions[b..b + N]);
-            // Saturating two-bit step, element-wise: +1 below strong
-            // taken when taken, -1 above strong not-taken otherwise.
-            let inc = bits.simd_lt(Simd::splat(3)).select(one, zero);
-            let dec = bits.simd_gt(zero).select(one, zero);
-            let next_bits = bits + (inc & taken_v) - (dec & (one - taken_v));
-            // Lane regions are disjoint, so the scatter targets are too.
-            ((tag_v << Simd::splat(2u64)) | next_bits).scatter(&mut self.arena, slot);
-            (((hist << one) | taken_v) & Simd::from_slice(&self.hist_mask[b..b + N]))
-                .copy_to_slice(&mut self.hist[b..b + N]);
-        }
-        self.step_record_swar(word, tag, taken, scored, blocks);
-    }
-
-    /// Drains the group into per-lane results. `seen` is the shared
-    /// access count (every conditional fed), `scored` the shared
-    /// post-warmup count.
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
-    }
-}
-
-/// One groupable lane beyond the single-read family: its result slot,
-/// the display name and *static* state cost captured from the kernel
-/// at build time (dynamic per-branch state — perfect-BHT histories,
-/// agree bias bits — is added at finish from the shared distinct-pc
-/// count), and its [`WalkPlan`].
+/// One groupable lane: its result slot, the display name and *static*
+/// state cost captured from the kernel at build time (dynamic
+/// per-branch state — perfect-BHT histories, agree bias bits — is
+/// added at finish from the shared distinct-pc count), and its
+/// [`WalkPlan`].
 struct PlanSpec {
     index: usize,
     name: String,
@@ -839,9 +320,8 @@ struct PlanSpec {
 /// Places power-of-two regions into one arena: regions are assigned
 /// bases in descending size order (ties by original position), so each
 /// base is aligned to its own region's size and `base | idx` is exact
-/// addition, exactly as [`GlobalGroup::new`] lays out its lanes.
-/// Returns the bases in original order plus the (power-of-two) arena
-/// length.
+/// addition. Returns the bases in original order plus the
+/// (power-of-two) arena length.
 fn place_regions(sizes: &[u64]) -> (Vec<u64>, usize) {
     let mut order: Vec<usize> = (0..sizes.len()).collect();
     order.sort_by(|&a, &b| sizes[b].cmp(&sizes[a]).then(a.cmp(&b)));
@@ -854,43 +334,7 @@ fn place_regions(sizes: &[u64]) -> (Vec<u64>, usize) {
     (bases, next.next_power_of_two().max(1) as usize)
 }
 
-/// A fresh arena of `len` packed cells in the workspace default
-/// counter state (weakly taken), shared by every group kind.
-fn fresh_arena(len: usize) -> Vec<u64> {
-    vec![cell::fresh(TwoBitCounter::default().state().bits()); len]
-}
-
-/// Row-blocked lane order: sorts plan specs by descending arena
-/// footprint (ties by configuration position) *before* group split —
-/// the exact order [`place_regions`] assigns bases in. Groups then
-/// iterate lanes in placement order, so consecutive lanes of a sweep
-/// walk adjacent arena regions and same-row reads of the shared arena
-/// land in neighbouring cache lines instead of striding the whole
-/// footprint. Pure iteration-order change: lanes are independent and
-/// results are written through `indices`, so output order (and every
-/// result bit) is unchanged.
-fn row_block_plans(specs: &mut [PlanSpec]) {
-    specs.sort_by(|a, b| {
-        b.plan
-            .cells()
-            .cmp(&a.plan.cells())
-            .then(a.index.cmp(&b.index))
-    });
-}
-
-/// Splits groupable specs into group-sized chunks, preserving order:
-/// the first [`cell::PACKED_LANES`] lanes form the first group, and so
-/// on (the same first-k policy [`LaneSet::new`] always used).
-fn split_at_lane_limit<T>(mut specs: Vec<T>) -> Vec<Vec<T>> {
-    let mut out = Vec::new();
-    while !specs.is_empty() {
-        let rest = specs.split_off(specs.len().min(cell::PACKED_LANES));
-        out.push(std::mem::replace(&mut specs, rest));
-    }
-    out
-}
-
-/// The first-level row source of a [`TwoLevelGroup`] — the part of a
+/// The first-level row source of a two-level group — the part of a
 /// per-address/per-set plan that differs between PAs(inf), finite PAs
 /// and SAs while the counter step stays shared.
 ///
@@ -910,15 +354,6 @@ trait RowSource {
 
     /// Shifts the outcome into the first level after the counter step.
     fn advance(&mut self, lane: usize, pc: u64, id: u32, row: u64, taken: u64);
-
-    /// First-level access statistics, when the scheme reports them
-    /// (`seen` is the shared conditional count — one lookup each).
-    fn bht_stats(&self, lane: usize, seen: u64) -> Option<BhtStats>;
-
-    /// Dynamic first-level state to add to the lane's static cost at
-    /// finish (`distinct` is the shared distinct-conditional-pc
-    /// count).
-    fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64;
 }
 
 /// Unbounded per-address histories ([`bpred_core::PerfectBht`]):
@@ -961,17 +396,6 @@ impl RowSource for PerfectRows {
         // Width-0 masks to zero, matching the scalar no-op record.
         self.hists[lane][id as usize] = ((row << 1) | taken) & self.masks[lane];
     }
-
-    fn bht_stats(&self, _lane: usize, seen: u64) -> Option<BhtStats> {
-        Some(BhtStats {
-            accesses: seen,
-            misses: 0,
-        })
-    }
-
-    fn extra_state_bits(&self, lane: usize, distinct: u64) -> u64 {
-        distinct * u64::from(self.widths[lane])
-    }
 }
 
 /// Finite tagged per-address histories: each lane embeds the real
@@ -1010,14 +434,6 @@ impl RowSource for FiniteRows {
     #[inline]
     fn advance(&mut self, lane: usize, pc: u64, _id: u32, _row: u64, taken: u64) {
         self.bhts[lane].record(pc, Outcome::from_bit(taken));
-    }
-
-    fn bht_stats(&self, lane: usize, _seen: u64) -> Option<BhtStats> {
-        Some(self.bhts[lane].stats())
-    }
-
-    fn extra_state_bits(&self, _lane: usize, _distinct: u64) -> u64 {
-        0 // entries x width is static, already in the kernel's cost
     }
 }
 
@@ -1064,1233 +480,1188 @@ impl RowSource for SetRows {
         let set = ((pc >> 2) & self.set_masks[lane]) as usize;
         self.sets[lane][set] = ((row << 1) | taken) & self.width_masks[lane];
     }
-
-    fn bht_stats(&self, _lane: usize, _seen: u64) -> Option<BhtStats> {
-        None
-    }
-
-    fn extra_state_bits(&self, _lane: usize, _distinct: u64) -> u64 {
-        0 // 2^set_bits x width is static, already in the kernel's cost
-    }
 }
 
-/// A lane group for the per-address/per-set two-level plans
-/// ([`PlanKind::PerAddressPerfect`], [`PlanKind::PerAddressFinite`],
-/// [`PlanKind::PerSet`]): the [`GlobalGroup`] counter step with a
-/// [`RowSource`] first-level read in front, lane-major over the shared
-/// conditional stream.
+/// The state every group keeps per lane, whatever its kind, one
+/// array per field indexed by lane. (Separate accumulator arrays keep
+/// the compiler from packing a kernel's register accumulators into
+/// one vector, which measured ~40% slower on tournament and YAGS.)
 #[derive(Debug)]
-struct TwoLevelGroup<R> {
-    indices: Vec<usize>,
-    names: Vec<String>,
+struct LaneHeaders {
+    /// Result slot in the caller's configuration order.
+    index: Vec<usize>,
+    name: Vec<String>,
     state_bits: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    row_mask: Vec<u64>,
-    col_shift: Vec<u64>,
-    col_mask: Vec<u64>,
-    base: Vec<u64>,
     conflicts: Vec<u64>,
     harmless: Vec<u64>,
     mispredictions: Vec<u64>,
-    rows: R,
-    arena: Vec<u64>,
 }
 
-impl<R: RowSource> TwoLevelGroup<R> {
-    fn new(specs: Vec<PlanSpec>, rows: R) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs.iter().map(|s| s.plan.cells()).collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = TwoLevelGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            col_shift: Vec::with_capacity(lanes),
-            col_mask: Vec::with_capacity(lanes),
-            base: bases,
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            rows,
-            arena: fresh_arena(arena_len),
-        };
-        for spec in specs {
-            let read = spec.plan.reads[0];
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group.row_mask.push(wide_low_mask(read.row_bits));
-            group.col_shift.push(u64::from(read.col_bits));
-            group.col_mask.push(wide_low_mask(read.col_bits));
-        }
-        group
+impl LaneHeaders {
+    fn len(&self) -> usize {
+        self.index.len()
     }
 
-    /// Feeds the chunk's dense conditional stream through every lane.
-    /// `ids` is the per-record dense branch-id column (read only when
-    /// the row source asks for it). Per record and lane this is the
-    /// scalar sequence select → fused counter access-train → selector
-    /// train, branch-free.
-    fn replay(&mut self, stream: &[u64], ids: &[u32], seen: u64, warmup: u64) {
-        debug_assert!(!R::NEEDS_IDS || ids.len() == stream.len());
-        for lane in 0..self.indices.len() {
-            let col_shift = self.col_shift[lane];
-            let col_mask = self.col_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let base = self.base[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let rows = &mut self.rows;
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
+    /// Adds one chunk's accumulators to lane `lane`.
+    #[inline]
+    fn add(&mut self, lane: usize, conflicts: u64, harmless: u64, mispredictions: u64) {
+        self.conflicts[lane] += conflicts;
+        self.harmless[lane] += harmless;
+        self.mispredictions[lane] += mispredictions;
+    }
+}
+
+/// A lane's global history register.
+#[derive(Debug, Clone, Copy)]
+struct History {
+    value: u64,
+    mask: u64,
+    /// What `value` equals exactly when the pattern is all-taken (see
+    /// [`all_taken_reference`]).
+    all_taken: u64,
+}
+
+impl History {
+    fn new(bits: u32) -> Self {
+        History {
+            value: 0,
+            mask: wide_low_mask(bits),
+            all_taken: all_taken_reference(bits),
+        }
+    }
+}
+
+/// One unified-index counter read placed in the arena:
+/// `base | ((row & row_mask) << col_shift) | (word & col_mask)`.
+#[derive(Debug, Clone, Copy)]
+struct UnifiedRead {
+    base: u64,
+    row_mask: u64,
+    col_shift: u64,
+    col_mask: u64,
+}
+
+impl UnifiedRead {
+    fn new(read: TableRead, base: u64) -> Self {
+        UnifiedRead {
+            base,
+            row_mask: wide_low_mask(read.row_bits),
+            col_shift: u64::from(read.col_bits),
+            col_mask: wide_low_mask(read.col_bits),
+        }
+    }
+}
+
+/// [`PlanKind::Direct`] lane: address-indexed, GAg/GAs or gshare.
+#[derive(Debug)]
+struct DirectLane {
+    hist: History,
+    read: UnifiedRead,
+    /// gshare XORs row-address bits into the history row.
+    xor_mask: u64,
+}
+
+/// A two-level lane: the unified counter read, selected by a
+/// [`RowSource`] pattern.
+#[derive(Debug)]
+struct TwoLevel<R> {
+    reads: Vec<UnifiedRead>,
+    /// Per lane, the row pattern that counts as all-taken.
+    all_taken: Vec<u64>,
+    rows: R,
+}
+
+/// [`PlanKind::AgreeBias`] lane.
+#[derive(Debug)]
+struct AgreeLane {
+    hist: History,
+    row_mask: u64,
+    base: u64,
+}
+
+/// [`PlanKind::BiModeChoice`] lane.
+#[derive(Debug)]
+struct BiModeLane {
+    hist: History,
+    dir_mask: u64,
+    choice_mask: u64,
+    taken_base: u64,
+    not_taken_base: u64,
+    choice_base: u64,
+}
+
+/// [`PlanKind::SkewedMajority`] lane.
+#[derive(Debug)]
+struct GskewLane {
+    hist: History,
+    /// `64 - bank_bits`, the hash down-shift (the parser guarantees
+    /// `bank_bits >= 1`).
+    shift: u64,
+    bases: [u64; 3],
+}
+
+/// [`PlanKind::TournamentChooser`] lane.
+#[derive(Debug)]
+struct TournamentLane {
+    hist: History,
+    addr_mask: u64,
+    gshare_mask: u64,
+    chooser_mask: u64,
+    addr_base: u64,
+    gshare_base: u64,
+    chooser_base: u64,
+}
+
+/// [`PlanKind::TaggedChoice`] (YAGS) lane.
+#[derive(Debug)]
+struct YagsLane {
+    hist: History,
+    choice_mask: u64,
+    cache_mask: u64,
+    tag_mask: u64,
+    choice_base: u64,
+    taken_base: u64,
+    not_taken_base: u64,
+}
+
+/// [`PlanKind::PathHistory`] lane.
+#[derive(Debug)]
+struct PathLane {
+    read: UnifiedRead,
+    /// The path register, kept masked to its width.
+    reg: u64,
+    reg_mask: u64,
+    /// Bits contributed per control transfer (the `q` parameter).
+    bpt: u64,
+    bpt_mask: u64,
+}
+
+/// [`PlanKind::LastOutcome`] lane.
+#[derive(Debug)]
+struct LastLane {
+    addr_mask: u64,
+    /// Last-outcome table, one byte per entry (0 = not-taken, the
+    /// initial state, 1 = taken).
+    table: Vec<u8>,
+}
+
+/// The per-kind half of a [`Group`]: lane parameters and the fused
+/// loop they select.
+#[derive(Debug)]
+enum Kernel {
+    /// Single unified read off global (or no) history. `prefetch`
+    /// selects the blocked loop for spilled arenas.
+    Direct {
+        lanes: Vec<DirectLane>,
+        prefetch: bool,
+    },
+    PerAddressPerfect(TwoLevel<PerfectRows>),
+    PerAddressFinite(TwoLevel<FiniteRows>),
+    PerSet(TwoLevel<SetRows>),
+    Agree(Vec<AgreeLane>),
+    BiMode(Vec<BiModeLane>),
+    Gskew(Vec<GskewLane>),
+    Tournament(Vec<TournamentLane>),
+    Yags(Vec<YagsLane>),
+    Path(Vec<PathLane>),
+    LastTime(Vec<LastLane>),
+}
+
+/// One chunk's shared columns, decoded once by the [`LaneSet`]
+/// pre-pass and read by every group.
+struct Columns<'a> {
+    /// Dense conditional stream, `(pc << 1) | taken`.
+    stream: &'a [u64],
+    /// Dense branch id per conditional (perfect-BHT and agree groups).
+    ids: &'a [u32],
+    /// Pre-latch (bit 0) / post-latch (bit 1) agree bias per
+    /// conditional.
+    bias_bits: &'a [u8],
+    /// One element per record for path groups,
+    /// `(dest_word << 1) | is_conditional`.
+    events: &'a [u64],
+    /// Conditionals fed before this chunk.
+    seen: u64,
+    warmup: u64,
+}
+
+/// A fused lane group: up to [`GROUP_LANES`] lanes of one
+/// [`PlanKind`], their shared counter arena, and the kernel that
+/// steps them.
+#[derive(Debug)]
+struct Group {
+    /// The [`LANE_TIER_LABELS`] slot of the group's kind.
+    tier: usize,
+    lanes: LaneHeaders,
+    /// Every lane's packed counter cells (empty for last-time lanes,
+    /// whose tables are byte-per-entry).
+    arena: Vec<u64>,
+    kernel: Kernel,
+}
+
+impl Group {
+    /// Builds a group from same-kind specs, already in row-blocked
+    /// order.
+    fn new(specs: &[PlanSpec]) -> Self {
+        debug_assert!(!specs.is_empty() && specs.len() <= GROUP_LANES);
+        let kind = specs[0].plan.kind();
+        let lanes = LaneHeaders {
+            index: specs.iter().map(|s| s.index).collect(),
+            name: specs.iter().map(|s| s.name.clone()).collect(),
+            state_bits: specs.iter().map(|s| s.state_bits).collect(),
+            conflicts: vec![0; specs.len()],
+            harmless: vec![0; specs.len()],
+            mispredictions: vec![0; specs.len()],
+        };
+        // Every read of every lane gets its own arena region;
+        // `bases[reads * lane + r]` is lane `lane`'s read `r`.
+        let reads = specs[0].plan.reads.len();
+        let (bases, mut arena) = if kind == PlanKind::LastOutcome {
+            (Vec::new(), Vec::new())
+        } else {
+            let sizes: Vec<u64> = specs
+                .iter()
+                .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
+                .collect();
+            let (bases, len) = place_regions(&sizes);
+            let fresh = cell::fresh(TwoBitCounter::default().state().bits());
+            (bases, vec![fresh; len])
+        };
+        let base = |lane: usize, read: usize| bases[reads * lane + read];
+        let two_level = |specs: &[PlanSpec]| -> (Vec<UnifiedRead>, Vec<u64>) {
+            specs
+                .iter()
+                .enumerate()
+                .map(|(lane, s)| {
+                    (
+                        UnifiedRead::new(s.plan.reads[0], base(lane, 0)),
+                        all_taken_reference(s.plan.history_bits),
+                    )
+                })
+                .unzip()
+        };
+        let lane_specs = specs.iter().enumerate();
+        let kernel = match kind {
+            PlanKind::Direct => Kernel::Direct {
+                lanes: lane_specs
+                    .map(|(lane, s)| {
+                        let read = s.plan.reads[0];
+                        let xor = matches!(read.index, IndexFn::Unified { xor: true });
+                        DirectLane {
+                            hist: History::new(s.plan.history_bits),
+                            read: UnifiedRead::new(read, base(lane, 0)),
+                            xor_mask: if xor { wide_low_mask(read.row_bits) } else { 0 },
+                        }
+                    })
+                    .collect(),
+                // 8 bytes per packed cell.
+                prefetch: 8 * arena.len() as u64 > PREFETCH_SPILL_BYTES,
+            },
+            PlanKind::PerAddressPerfect => {
+                let (reads, all_taken) = two_level(specs);
+                Kernel::PerAddressPerfect(TwoLevel {
+                    reads,
+                    all_taken,
+                    rows: PerfectRows::new(specs),
+                })
+            }
+            PlanKind::PerAddressFinite => {
+                let (reads, all_taken) = two_level(specs);
+                Kernel::PerAddressFinite(TwoLevel {
+                    reads,
+                    all_taken,
+                    rows: FiniteRows::new(specs),
+                })
+            }
+            PlanKind::PerSet => {
+                let (reads, all_taken) = two_level(specs);
+                Kernel::PerSet(TwoLevel {
+                    reads,
+                    all_taken,
+                    rows: SetRows::new(specs),
+                })
+            }
+            PlanKind::AgreeBias => Kernel::Agree(
+                lane_specs
+                    .map(|(lane, s)| AgreeLane {
+                        hist: History::new(s.plan.history_bits),
+                        row_mask: wide_low_mask(s.plan.reads[0].row_bits),
+                        base: base(lane, 0),
+                    })
+                    .collect(),
+            ),
+            // Reads: taken, not-taken, choice.
+            PlanKind::BiModeChoice => Kernel::BiMode(
+                lane_specs
+                    .map(|(lane, s)| BiModeLane {
+                        hist: History::new(s.plan.history_bits),
+                        dir_mask: wide_low_mask(s.plan.reads[0].row_bits),
+                        choice_mask: wide_low_mask(s.plan.reads[2].col_bits),
+                        taken_base: base(lane, 0),
+                        not_taken_base: base(lane, 1),
+                        choice_base: base(lane, 2),
+                    })
+                    .collect(),
+            ),
+            PlanKind::SkewedMajority => Kernel::Gskew(
+                lane_specs
+                    .map(|(lane, s)| GskewLane {
+                        hist: History::new(s.plan.history_bits),
+                        shift: u64::from(64 - s.plan.reads[0].row_bits),
+                        bases: std::array::from_fn(|bank| base(lane, bank)),
+                    })
+                    .collect(),
+            ),
+            // Reads: address-indexed, gshare, chooser.
+            PlanKind::TournamentChooser => Kernel::Tournament(
+                lane_specs
+                    .map(|(lane, s)| {
+                        let chooser_base = base(lane, 2);
+                        // The scalar chooser starts weakly-not-taken
+                        // ("trust the first component"), unlike the
+                        // arena's weakly-taken default.
+                        let chooser_cells = s.plan.reads[2].cells();
+                        arena[chooser_base as usize..(chooser_base + chooser_cells) as usize]
+                            .fill(cell::fresh(1));
+                        TournamentLane {
+                            hist: History::new(s.plan.history_bits),
+                            addr_mask: wide_low_mask(s.plan.reads[0].col_bits),
+                            gshare_mask: wide_low_mask(s.plan.reads[1].row_bits),
+                            chooser_mask: wide_low_mask(s.plan.reads[2].col_bits),
+                            addr_base: base(lane, 0),
+                            gshare_base: base(lane, 1),
+                            chooser_base,
+                        }
+                    })
+                    .collect(),
+            ),
+            // Reads: choice, taken-cache, not-taken-cache.
+            PlanKind::TaggedChoice => Kernel::Yags(
+                lane_specs
+                    .map(|(lane, s)| {
+                        let (taken_base, not_taken_base) = (base(lane, 1), base(lane, 2));
+                        // Empty cache entries: sentinel tag, weakly-taken
+                        // counter in the taken cache / weakly-not-taken
+                        // in the not-taken cache (the scalar caches'
+                        // initial counters — never observable before an
+                        // allocation overwrites them, kept identical
+                        // anyway).
+                        let cache_cells = s.plan.reads[1].cells();
+                        let region = |base: u64| base as usize..(base + cache_cells) as usize;
+                        arena[region(taken_base)].fill((YAGS_EMPTY_TAG << 2) | 2);
+                        arena[region(not_taken_base)].fill((YAGS_EMPTY_TAG << 2) | 1);
+                        YagsLane {
+                            hist: History::new(s.plan.history_bits),
+                            choice_mask: wide_low_mask(s.plan.reads[0].col_bits),
+                            cache_mask: wide_low_mask(s.plan.reads[1].row_bits),
+                            tag_mask: wide_low_mask(s.plan.reads[1].tag_bits),
+                            choice_base: base(lane, 0),
+                            taken_base,
+                            not_taken_base,
+                        }
+                    })
+                    .collect(),
+            ),
+            PlanKind::PathHistory => Kernel::Path(
+                lane_specs
+                    .map(|(lane, s)| {
+                        let bits_per_target = match s.plan.level1 {
+                            Level1Read::PathHistory { bits_per_target } => bits_per_target,
+                            ref other => unreachable!("path group from {other:?}"),
+                        };
+                        PathLane {
+                            read: UnifiedRead::new(s.plan.reads[0], base(lane, 0)),
+                            reg: 0,
+                            // A zero-width register is inert: the mask
+                            // pins it to zero, matching the scalar
+                            // push's width-0 no-op.
+                            reg_mask: wide_low_mask(s.plan.history_bits),
+                            bpt: u64::from(bits_per_target),
+                            bpt_mask: wide_low_mask(bits_per_target),
+                        }
+                    })
+                    .collect(),
+            ),
+            PlanKind::LastOutcome => Kernel::LastTime(
+                specs
+                    .iter()
+                    .map(|s| {
+                        let read = s.plan.reads[0];
+                        LastLane {
+                            addr_mask: wide_low_mask(read.col_bits),
+                            table: vec![0u8; read.cells() as usize],
+                        }
+                    })
+                    .collect(),
+            ),
+        };
+        Group {
+            tier: tier_of(kind),
+            lanes,
+            arena,
+            kernel,
+        }
+    }
+
+    /// Whether the group reads [`Columns::ids`].
+    fn needs_ids(&self) -> bool {
+        matches!(self.kernel, Kernel::PerAddressPerfect(_) | Kernel::Agree(_))
+    }
+
+    /// Feeds one chunk's columns through every lane of the group.
+    fn replay(&mut self, cols: &Columns) {
+        let Group {
+            lanes,
+            arena,
+            kernel,
+            ..
+        } = self;
+        match kernel {
+            Kernel::Direct {
+                lanes: params,
+                prefetch: false,
+            } => replay_direct(lanes, params, arena, cols),
+            Kernel::Direct {
+                lanes: params,
+                prefetch: true,
+            } => replay_direct_prefetch(lanes, params, arena, cols),
+            Kernel::PerAddressPerfect(g) => replay_two_level(lanes, g, arena, cols),
+            Kernel::PerAddressFinite(g) => replay_two_level(lanes, g, arena, cols),
+            Kernel::PerSet(g) => replay_two_level(lanes, g, arena, cols),
+            Kernel::Agree(params) => replay_agree(lanes, params, arena, cols),
+            Kernel::BiMode(params) => replay_bimode(lanes, params, arena, cols),
+            Kernel::Gskew(params) => replay_gskew(lanes, params, arena, cols),
+            Kernel::Tournament(params) => replay_tournament(lanes, params, arena, cols),
+            Kernel::Yags(params) => replay_yags(lanes, params, arena, cols),
+            Kernel::Path(params) => replay_path(lanes, params, arena, cols),
+            Kernel::LastTime(params) => replay_last_time(lanes, params, cols),
+        }
+    }
+
+    /// Drains the group into per-lane results. `seen` is the shared
+    /// access count (every conditional fed), `scored` the shared
+    /// post-warmup count, `distinct` the shared distinct-pc count.
+    fn finish(self, seen: u64, scored: u64, distinct: u64, results: &mut [Option<SimResult>]) {
+        let Group { lanes, kernel, .. } = self;
+        // Table accesses per conditional, as the scalar kernels count
+        // them: gskew touches three banks and tournament both
+        // components; choice and chooser tables are peeked, never
+        // accessed; last-time keeps no alias statistics.
+        let accesses = match kernel {
+            Kernel::Gskew(_) => Some(3 * seen),
+            Kernel::Tournament(_) => Some(2 * seen),
+            Kernel::LastTime(_) => None,
+            _ => Some(seen),
+        };
+        let names = lanes.name.into_iter();
+        for (lane, (&index, predictor)) in lanes.index.iter().zip(names).enumerate() {
+            let (dynamic_bits, bht) = match &kernel {
+                Kernel::PerAddressPerfect(g) => (
+                    distinct * u64::from(g.rows.widths[lane]),
+                    Some(BhtStats {
+                        accesses: seen,
+                        misses: 0,
+                    }),
+                ),
+                Kernel::PerAddressFinite(g) => (0, Some(g.rows.bhts[lane].stats())),
+                // One BTB-resident bias bit per distinct branch.
+                Kernel::Agree(_) => (distinct, None),
+                _ => (0, None),
+            };
+            results[index] = Some(SimResult {
+                predictor,
+                state_bits: lanes.state_bits[lane] + dynamic_bits,
+                conditionals: scored,
+                mispredictions: lanes.mispredictions[lane],
+                alias: accesses.map(|accesses| AliasStats {
+                    accesses,
+                    conflicts: lanes.conflicts[lane],
+                    harmless_conflicts: lanes.harmless[lane],
+                }),
+                bht,
+            });
+        }
+    }
+}
+
+/// [`PlanKind::Direct`]: lane-major over the conditional stream with
+/// every lane parameter, the history register, and all three
+/// accumulators held in locals, so the inner loop touches memory only
+/// for the (shared, cache-hot) conditional column and the lane's own
+/// arena region. The cell step is fused and branch-free, semantically
+/// [`cell::step`].
+fn replay_direct(
+    lanes: &mut LaneHeaders,
+    params: &mut [DirectLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, seen, warmup) = (cols.stream, cols.seen, cols.warmup);
+    // Masking by `len - 1` (a power of two) also elides the bounds
+    // check.
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let UnifiedRead {
+            base,
+            row_mask,
+            col_shift,
+            col_mask,
+        } = p.read;
+        let xor_mask = p.xor_mask;
+        let (hist_mask, all_taken_ref) = (p.hist.mask, p.hist.all_taken);
+        let mut hist = p.hist.value;
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let row = (hist ^ ((word >> col_shift) & xor_mask)) & row_mask;
+            let idx = (row << col_shift) | (word & col_mask);
+            let slot = ((base | idx) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((hist == all_taken_ref) as u64);
+            wrong += scored & ((bits >= 2) as u64 ^ taken);
+            hist = ((hist << 1) | taken) & hist_mask;
+            // Saturating two-bit step: +1 below strong taken when
+            // taken, -1 above strong not-taken otherwise.
+            let inc = ((bits < 3) as u64) & taken;
+            let dec = ((bits > 0) as u64) & (1 - taken);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
+        }
+        p.hist.value = hist;
+        lanes.add(lane, conflicts, harmless, wrong);
+    }
+}
+
+/// [`replay_direct`] in blocked two-phase form, for arenas past
+/// [`PREFETCH_SPILL_BYTES`]: per window of [`PREFETCH_WINDOW`]
+/// records, an address-generation pass runs the (arena-independent)
+/// index and history recurrence, touches each upcoming arena slot —
+/// the gather is the loop's one data-dependent load — and parks
+/// `(slot << 1) | all_taken` in scratch; the second pass then performs
+/// the identical counter read-modify-write and scoring. Bit-identical
+/// to [`replay_direct`] (the touch reads are value-discarded, and the
+/// read-modify-write pass is sequential).
+fn replay_direct_prefetch(
+    lanes: &mut LaneHeaders,
+    params: &mut [DirectLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, seen, warmup) = (cols.stream, cols.seen, cols.warmup);
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let UnifiedRead {
+            base,
+            row_mask,
+            col_shift,
+            col_mask,
+        } = p.read;
+        let xor_mask = p.xor_mask;
+        let (hist_mask, all_taken_ref) = (p.hist.mask, p.hist.all_taken);
+        let mut hist = p.hist.value;
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        let mut scratch = [0u64; PREFETCH_WINDOW];
+        let mut start = 0usize;
+        while start < stream.len() {
+            let end = stream.len().min(start + PREFETCH_WINDOW);
+            let block = &stream[start..end];
+            let mut h = hist;
+            for (j, &packed) in block.iter().enumerate() {
                 let taken = packed & 1;
-                let pc = packed >> 1;
                 let word = packed >> 3;
-                let tag = pc & cell::EMPTY_OWNER;
-                let id = if R::NEEDS_IDS { ids[i] } else { 0 };
-                let row = rows.row(lane, pc, id);
-                let idx = ((row & row_mask) << col_shift) | (word & col_mask);
+                let row = (h ^ ((word >> col_shift) & xor_mask)) & row_mask;
+                let idx = (row << col_shift) | (word & col_mask);
                 let slot = ((base | idx) as usize) & mask;
+                scratch[j] = ((slot as u64) << 1) | ((h == all_taken_ref) as u64);
+                // Safe-code prefetch: pull the cell's line now, drop
+                // the value.
+                std::hint::black_box(arena[slot]);
+                h = ((h << 1) | taken) & hist_mask;
+            }
+            for (j, &packed) in block.iter().enumerate() {
+                let scored = (seen + (start + j) as u64 >= warmup) as u64;
+                let taken = packed & 1;
+                let tag = (packed >> 1) & cell::EMPTY_OWNER;
+                let slot = (scratch[j] >> 1) as usize;
+                let all_taken = scratch[j] & 1;
                 let cell_word = arena[slot];
                 let owner = cell_word >> 2;
                 let bits = cell_word & 0b11;
                 let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
                 conflicts += conflict;
-                harmless += conflict & ((row == all_taken_ref) as u64);
+                harmless += conflict & all_taken;
                 wrong += scored & ((bits >= 2) as u64 ^ taken);
                 let inc = ((bits < 3) as u64) & taken;
                 let dec = ((bits > 0) as u64) & (1 - taken);
                 arena[slot] = (tag << 2) | (bits + inc - dec);
-                rows.advance(lane, pc, id, row, taken);
             }
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+            hist = h;
+            start = end;
         }
-    }
-
-    fn finish(self, seen: u64, scored: u64, distinct: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane] + self.rows.extra_state_bits(lane, distinct),
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: self.rows.bht_stats(lane, seen),
-            });
-        }
+        p.hist.value = hist;
+        lanes.add(lane, conflicts, harmless, wrong);
     }
 }
 
-/// A lane group for [`PlanKind::AgreeBias`]: counters predict
-/// *agreement* with a per-branch bias bit latched at first execution.
-/// The bias latch sequence depends only on the shared (pc, outcome)
-/// stream — identical across every agree lane — so the [`LaneSet`]
-/// pre-pass latches it once, record-major, and parks each record's
-/// pre/post-latch bias in the shared `bias_bits` column the lane-major
-/// loop here reads (a naive shared latch array would corrupt pre-latch
-/// reads once the first lane had latched).
-#[derive(Debug)]
-struct AgreeGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    row_mask: Vec<u64>,
-    base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
-    arena: Vec<u64>,
+/// The per-address/per-set two-level plans
+/// ([`PlanKind::PerAddressPerfect`], [`PlanKind::PerAddressFinite`],
+/// [`PlanKind::PerSet`]): the direct counter step with a [`RowSource`]
+/// first-level read in front. Per record and lane this is the scalar
+/// sequence select → fused counter access-train → selector train,
+/// branch-free.
+fn replay_two_level<R: RowSource>(
+    lanes: &mut LaneHeaders,
+    group: &mut TwoLevel<R>,
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, ids, seen, warmup) = (cols.stream, cols.ids, cols.seen, cols.warmup);
+    debug_assert!(!R::NEEDS_IDS || ids.len() == stream.len());
+    let mask = arena.len() - 1;
+    let rows = &mut group.rows;
+    for lane in 0..lanes.len() {
+        let UnifiedRead {
+            base,
+            row_mask,
+            col_shift,
+            col_mask,
+        } = group.reads[lane];
+        let all_taken_ref = group.all_taken[lane];
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let pc = packed >> 1;
+            let word = packed >> 3;
+            let tag = pc & cell::EMPTY_OWNER;
+            let id = if R::NEEDS_IDS { ids[i] } else { 0 };
+            let row = rows.row(lane, pc, id);
+            let idx = ((row & row_mask) << col_shift) | (word & col_mask);
+            let slot = ((base | idx) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((row == all_taken_ref) as u64);
+            wrong += scored & ((bits >= 2) as u64 ^ taken);
+            let inc = ((bits < 3) as u64) & taken;
+            let dec = ((bits > 0) as u64) & (1 - taken);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
+            rows.advance(lane, pc, id, row, taken);
+        }
+        lanes.add(lane, conflicts, harmless, wrong);
+    }
 }
 
-impl AgreeGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs.iter().map(|s| s.plan.cells()).collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = AgreeGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            base: bases,
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for spec in specs {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .row_mask
-                .push(wide_low_mask(spec.plan.reads[0].row_bits));
+/// [`PlanKind::AgreeBias`]: counters predict *agreement* with a
+/// per-branch bias bit latched at first execution. The bias latch
+/// sequence depends only on the shared (pc, outcome) stream —
+/// identical across every agree lane — so the [`LaneSet`] pre-pass
+/// latches it once, record-major, and parks each record's pre/post-
+/// latch bias in [`Columns::bias_bits`] (a naive shared latch array
+/// would corrupt pre-latch reads once the first lane had latched).
+fn replay_agree(
+    lanes: &mut LaneHeaders,
+    params: &mut [AgreeLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, bias_bits, seen, warmup) = (cols.stream, cols.bias_bits, cols.seen, cols.warmup);
+    debug_assert_eq!(bias_bits.len(), stream.len());
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let (row_mask, base) = (p.row_mask, p.base);
+        let (hist_mask, all_taken_ref) = (p.hist.mask, p.hist.all_taken);
+        let mut hist = p.hist.value;
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let pre = u64::from(bias_bits[i] & 1);
+            let post = u64::from((bias_bits[i] >> 1) & 1);
+            let row = (hist ^ (word & row_mask)) & row_mask;
+            let slot = ((base | row) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((hist == all_taken_ref) as u64);
+            // Prediction: bias if the counter says "agree", its
+            // complement otherwise — an XNOR of the two bits.
+            let agree = (bits >= 2) as u64;
+            wrong += scored & ((1 ^ agree ^ pre) ^ taken);
+            // Training direction is agreement with the *post-latch*
+            // bias, not the raw outcome.
+            let agreement = 1 ^ taken ^ post;
+            let inc = ((bits < 3) as u64) & agreement;
+            let dec = ((bits > 0) as u64) & (1 - agreement);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
-        group
+        p.hist.value = hist;
+        lanes.add(lane, conflicts, harmless, wrong);
     }
+}
 
-    /// `bias_bits[i]` carries the shared pre-latch (bit 0) and
-    /// post-latch (bit 1) bias-is-taken flags of conditional `i`.
-    fn replay(&mut self, stream: &[u64], bias_bits: &[u8], seen: u64, warmup: u64) {
-        debug_assert_eq!(bias_bits.len(), stream.len());
-        for lane in 0..self.indices.len() {
-            let row_mask = self.row_mask[lane];
-            let base = self.base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let pre = u64::from(bias_bits[i] & 1);
-                let post = u64::from((bias_bits[i] >> 1) & 1);
-                let row = (hist ^ (word & row_mask)) & row_mask;
-                let slot = ((base | row) as usize) & mask;
-                let cell_word = arena[slot];
+/// [`PlanKind::BiModeChoice`]: a peeked choice read steers each record
+/// to one of two direction regions; the selected counter trains toward
+/// the outcome and the choice counter trains too unless the bi-mode
+/// exception holds (choice disagreed but the selected counter was
+/// right). The choice cells are only ever peeked and retrained, so
+/// their owner tags stay empty and they contribute no alias accounting
+/// — exactly the scalar tables' split.
+fn replay_bimode(
+    lanes: &mut LaneHeaders,
+    params: &mut [BiModeLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, seen, warmup) = (cols.stream, cols.seen, cols.warmup);
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let (dir_mask, choice_mask) = (p.dir_mask, p.choice_mask);
+        let (taken_base, not_taken_base, choice_base) =
+            (p.taken_base, p.not_taken_base, p.choice_base);
+        let (hist_mask, all_taken_ref) = (p.hist.mask, p.hist.all_taken);
+        let mut hist = p.hist.value;
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let row = (hist ^ (word & dir_mask)) & dir_mask;
+            let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
+            let choice_cell = arena[choice_slot];
+            let ch_bits = choice_cell & 0b11;
+            let use_taken = (ch_bits >= 2) as u64;
+            // Branchless region select between the two direction
+            // tables.
+            let dir_base =
+                not_taken_base ^ ((taken_base ^ not_taken_base) & use_taken.wrapping_neg());
+            let slot = ((dir_base | row) as usize) & mask;
+            let cell_word = arena[slot];
+            let owner = cell_word >> 2;
+            let bits = cell_word & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & ((hist == all_taken_ref) as u64);
+            let predicted = (bits >= 2) as u64;
+            wrong += scored & (predicted ^ taken);
+            // Selected direction counter trains toward the outcome.
+            let inc = ((bits < 3) as u64) & taken;
+            let dec = ((bits > 0) as u64) & (1 - taken);
+            arena[slot] = (tag << 2) | (bits + inc - dec);
+            // Choice trains toward the outcome except on the bi-mode
+            // exception; its owner (empty) is preserved — peek and
+            // retrain never tag.
+            let exception = (use_taken ^ taken) & (1 - (predicted ^ taken));
+            let train = 1 - exception;
+            let cinc = ((ch_bits < 3) as u64) & taken & train;
+            let cdec = ((ch_bits > 0) as u64) & (1 - taken) & train;
+            arena[choice_slot] = (choice_cell & !0b11u64) | (ch_bits + cinc - cdec);
+            hist = ((hist << 1) | taken) & hist_mask;
+        }
+        p.hist.value = hist;
+        lanes.add(lane, conflicts, harmless, wrong);
+    }
+}
+
+/// [`PlanKind::SkewedMajority`]: three skewed bank reads per record,
+/// majority vote, total-update training. Each lane owns three disjoint
+/// bank regions, so the scalar access-access-access /
+/// train-train-train sequence fuses into one read-modify-write per
+/// bank.
+fn replay_gskew(
+    lanes: &mut LaneHeaders,
+    params: &mut [GskewLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, seen, warmup) = (cols.stream, cols.seen, cols.warmup);
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let shift = p.shift;
+        let [base0, base1, base2] = p.bases;
+        let (hist_mask, all_taken_ref) = (p.hist.mask, p.hist.all_taken);
+        let mut hist = p.hist.value;
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let key = (word << 20) ^ hist;
+            let all_taken = (hist == all_taken_ref) as u64;
+            // Unrolled banks, all three loads issued before any store:
+            // the bank regions are disjoint, but an interleaved
+            // read-modify-write would force the compiler to order
+            // every load after the previous bank's store (it cannot
+            // prove the slots don't alias). The scalar
+            // predict-all-banks-then-train-all-banks sequence is
+            // equivalent to one fused RMW per bank either way.
+            let slot0 =
+                ((base0 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[0]) >> shift)) as usize) & mask;
+            let slot1 =
+                ((base1 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[1]) >> shift)) as usize) & mask;
+            let slot2 =
+                ((base2 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[2]) >> shift)) as usize) & mask;
+            let (cell0, cell1, cell2) = (arena[slot0], arena[slot1], arena[slot2]);
+            let step = |cell_word: u64| {
                 let owner = cell_word >> 2;
                 let bits = cell_word & 0b11;
                 let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & ((hist == all_taken_ref) as u64);
-                // Prediction: bias if the counter says "agree", its
-                // complement otherwise — an XNOR of the two bits.
-                let agree = (bits >= 2) as u64;
-                wrong += scored & ((1 ^ agree ^ pre) ^ taken);
-                // Training direction is agreement with the
-                // *post-latch* bias, not the raw outcome.
-                let agreement = 1 ^ taken ^ post;
-                let inc = ((bits < 3) as u64) & agreement;
-                let dec = ((bits > 0) as u64) & (1 - agreement);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
-        }
-    }
-
-    fn finish(self, seen: u64, scored: u64, distinct: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                // One BTB-resident bias bit per distinct branch.
-                state_bits: self.state_bits[lane] + distinct,
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
-    }
-}
-
-/// A lane group for [`PlanKind::BiModeChoice`]: a peeked choice read
-/// steers each record to one of two direction regions; the selected
-/// counter trains toward the outcome and the choice counter trains too
-/// unless the bi-mode exception holds (choice disagreed but the
-/// selected counter was right). The choice cells are only ever peeked
-/// and retrained, so their owner tags stay empty and they contribute
-/// no alias accounting — exactly the scalar tables' split.
-#[derive(Debug)]
-struct BiModeGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    dir_mask: Vec<u64>,
-    choice_mask: Vec<u64>,
-    taken_base: Vec<u64>,
-    not_taken_base: Vec<u64>,
-    choice_base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl BiModeGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        // Three regions per lane: taken, not-taken, choice.
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = BiModeGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            dir_mask: Vec::with_capacity(lanes),
-            choice_mask: Vec::with_capacity(lanes),
-            taken_base: Vec::with_capacity(lanes),
-            not_taken_base: Vec::with_capacity(lanes),
-            choice_base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .dir_mask
-                .push(wide_low_mask(spec.plan.reads[0].row_bits));
-            group
-                .choice_mask
-                .push(wide_low_mask(spec.plan.reads[2].col_bits));
-            group.taken_base.push(bases[3 * lane]);
-            group.not_taken_base.push(bases[3 * lane + 1]);
-            group.choice_base.push(bases[3 * lane + 2]);
-        }
-        group
-    }
-
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let dir_mask = self.dir_mask[lane];
-            let choice_mask = self.choice_mask[lane];
-            let taken_base = self.taken_base[lane];
-            let not_taken_base = self.not_taken_base[lane];
-            let choice_base = self.choice_base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let row = (hist ^ (word & dir_mask)) & dir_mask;
-                let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
-                let choice_cell = arena[choice_slot];
-                let ch_bits = choice_cell & 0b11;
-                let use_taken = (ch_bits >= 2) as u64;
-                // Branchless region select between the two direction
-                // tables.
-                let dir_base =
-                    not_taken_base ^ ((taken_base ^ not_taken_base) & use_taken.wrapping_neg());
-                let slot = ((dir_base | row) as usize) & mask;
-                let cell_word = arena[slot];
-                let owner = cell_word >> 2;
-                let bits = cell_word & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & ((hist == all_taken_ref) as u64);
-                let predicted = (bits >= 2) as u64;
-                wrong += scored & (predicted ^ taken);
-                // Selected direction counter trains toward the outcome.
+                let vote = (bits >= 2) as u64;
                 let inc = ((bits < 3) as u64) & taken;
                 let dec = ((bits > 0) as u64) & (1 - taken);
-                arena[slot] = (tag << 2) | (bits + inc - dec);
-                // Choice trains toward the outcome except on the
-                // bi-mode exception; its owner (empty) is preserved —
-                // peek and retrain never tag.
-                let exception = (use_taken ^ taken) & (1 - (predicted ^ taken));
-                let train = 1 - exception;
-                let cinc = ((ch_bits < 3) as u64) & taken & train;
-                let cdec = ((ch_bits > 0) as u64) & (1 - taken) & train;
-                arena[choice_slot] = (choice_cell & !0b11u64) | (ch_bits + cinc - cdec);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+                ((tag << 2) | (bits + inc - dec), conflict, vote)
+            };
+            let (next0, conflict0, vote0) = step(cell0);
+            let (next1, conflict1, vote1) = step(cell1);
+            let (next2, conflict2, vote2) = step(cell2);
+            arena[slot0] = next0;
+            arena[slot1] = next1;
+            arena[slot2] = next2;
+            let conflict = conflict0 + conflict1 + conflict2;
+            conflicts += conflict;
+            harmless += conflict & all_taken.wrapping_neg();
+            wrong += scored & ((vote0 + vote1 + vote2 >= 2) as u64 ^ taken);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
-    }
-
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                // Direction tables only; the choice table is peeked,
-                // never accessed, in the paper's accounting.
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
+        p.hist.value = hist;
+        lanes.add(lane, conflicts, harmless, wrong);
     }
 }
 
-/// A lane group for [`PlanKind::SkewedMajority`]: three skewed bank
-/// reads per record, majority vote, total-update training. Each lane
-/// owns three disjoint bank regions, so the scalar
-/// access-access-access / train-train-train sequence fuses into one
-/// read-modify-write per bank.
-#[derive(Debug)]
-struct GskewGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    /// `64 - bank_bits`, the hash down-shift (bank_bits ≥ 1 is
-    /// guaranteed by [`WalkPlan::of`]).
-    shift: Vec<u64>,
-    bank_base: [Vec<u64>; 3],
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl GskewGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = GskewGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            shift: Vec::with_capacity(lanes),
-            bank_base: [
-                Vec::with_capacity(lanes),
-                Vec::with_capacity(lanes),
-                Vec::with_capacity(lanes),
-            ],
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .shift
-                .push(u64::from(64 - spec.plan.reads[0].row_bits));
-            for bank in 0..3 {
-                group.bank_base[bank].push(bases[3 * lane + bank]);
-            }
-        }
-        group
-    }
-
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let shift = self.shift[lane];
-            let base0 = self.bank_base[0][lane];
-            let base1 = self.bank_base[1][lane];
-            let base2 = self.bank_base[2][lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let key = (word << 20) ^ hist;
-                let all_taken = (hist == all_taken_ref) as u64;
-                // Unrolled banks, all three loads issued before any
-                // store: the bank regions are disjoint, but an
-                // interleaved read-modify-write would force the
-                // compiler to order every load after the previous
-                // bank's store (it cannot prove the slots don't
-                // alias). The scalar predict-all-banks-then-train-
-                // all-banks sequence is equivalent to one fused RMW
-                // per bank either way.
-                let slot0 = ((base0 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[0]) >> shift))
-                    as usize)
-                    & mask;
-                let slot1 = ((base1 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[1]) >> shift))
-                    as usize)
-                    & mask;
-                let slot2 = ((base2 | (key.wrapping_mul(SKEW_BANK_MULTIPLIERS[2]) >> shift))
-                    as usize)
-                    & mask;
-                let (cell0, cell1, cell2) = (arena[slot0], arena[slot1], arena[slot2]);
-                let step = |cell_word: u64| {
-                    let owner = cell_word >> 2;
-                    let bits = cell_word & 0b11;
-                    let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                    let vote = (bits >= 2) as u64;
-                    let inc = ((bits < 3) as u64) & taken;
-                    let dec = ((bits > 0) as u64) & (1 - taken);
-                    ((tag << 2) | (bits + inc - dec), conflict, vote)
-                };
-                let (next0, conflict0, vote0) = step(cell0);
-                let (next1, conflict1, vote1) = step(cell1);
-                let (next2, conflict2, vote2) = step(cell2);
-                arena[slot0] = next0;
-                arena[slot1] = next1;
-                arena[slot2] = next2;
-                let conflict = conflict0 + conflict1 + conflict2;
-                conflicts += conflict;
-                harmless += conflict & all_taken.wrapping_neg();
-                wrong += scored & ((vote0 + vote1 + vote2 >= 2) as u64 ^ taken);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
-        }
-    }
-
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    // Three bank accesses per conditional.
-                    accesses: 3 * seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
-    }
-}
-
-/// A lane group for [`PlanKind::TournamentChooser`]: a per-address
-/// chooser read steers between two component reads — an
-/// address-indexed table (read 0) and a gshare table (read 1) — per
-/// the [`Combining`](bpred_core::Combining) kernel. Both components
+/// [`PlanKind::TournamentChooser`]: a per-address chooser read steers
+/// between two component reads — an address-indexed table (read 0)
+/// and a gshare table (read 1) — per the
+/// [`Combining`](bpred_core::Combining) kernel. Both components
 /// access-then-train exactly like the scalar [`cell::step`]; the
 /// chooser is the scalar kernel's bare counter vector, so its cells
 /// are peeked and retrained with their owner preserved (never tagged,
 /// no alias accounting) and train toward "the second component was
 /// right" only when the components disagreed.
-#[derive(Debug)]
-struct TournamentGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    addr_mask: Vec<u64>,
-    gshare_mask: Vec<u64>,
-    chooser_mask: Vec<u64>,
-    addr_base: Vec<u64>,
-    gshare_base: Vec<u64>,
-    chooser_base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
-    arena: Vec<u64>,
+fn replay_tournament(
+    lanes: &mut LaneHeaders,
+    params: &mut [TournamentLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, seen, warmup) = (cols.stream, cols.seen, cols.warmup);
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let (addr_mask, gshare_mask, chooser_mask) = (p.addr_mask, p.gshare_mask, p.chooser_mask);
+        let (addr_base, gshare_base, chooser_base) = (p.addr_base, p.gshare_base, p.chooser_base);
+        let (hist_mask, all_taken_ref) = (p.hist.mask, p.hist.all_taken);
+        let mut hist = p.hist.value;
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            // Component 0: address-indexed (row always zero, so never
+            // an all-taken pattern).
+            let a_slot = ((addr_base | (word & addr_mask)) as usize) & mask;
+            let a_cell = arena[a_slot];
+            let a_owner = a_cell >> 2;
+            let a_bits = a_cell & 0b11;
+            let a_conflict = ((a_owner != cell::EMPTY_OWNER) & (a_owner != tag)) as u64;
+            // Component 1: gshare (column-free — the read is
+            // `history_bits` rows wide).
+            let g_row = (hist ^ (word & gshare_mask)) & gshare_mask;
+            let g_slot = ((gshare_base | g_row) as usize) & mask;
+            let g_cell = arena[g_slot];
+            let g_owner = g_cell >> 2;
+            let g_bits = g_cell & 0b11;
+            let g_conflict = ((g_owner != cell::EMPTY_OWNER) & (g_owner != tag)) as u64;
+            conflicts += a_conflict + g_conflict;
+            harmless += g_conflict & ((hist == all_taken_ref) as u64);
+            let a_pred = (a_bits >= 2) as u64;
+            let g_pred = (g_bits >= 2) as u64;
+            let chooser_slot = ((chooser_base | (word & chooser_mask)) as usize) & mask;
+            let chooser_cell = arena[chooser_slot];
+            let ch_bits = chooser_cell & 0b11;
+            let use_second = (ch_bits >= 2) as u64;
+            let predicted = a_pred ^ ((a_pred ^ g_pred) & use_second.wrapping_neg());
+            wrong += scored & (predicted ^ taken);
+            // Chooser trains toward "the second component was right",
+            // only on disagreement; its owner (empty) is preserved —
+            // the scalar chooser is untagged.
+            let train = a_pred ^ g_pred;
+            let toward_second = 1 ^ g_pred ^ taken;
+            let cinc = ((ch_bits < 3) as u64) & toward_second & train;
+            let cdec = ((ch_bits > 0) as u64) & (1 - toward_second) & train;
+            arena[chooser_slot] = (chooser_cell & !0b11u64) | (ch_bits + cinc - cdec);
+            // Both components train toward the outcome, owner
+            // re-tagged — the scalar access-then-retrain pair, fused
+            // as in [`cell::step`].
+            let a_inc = ((a_bits < 3) as u64) & taken;
+            let a_dec = ((a_bits > 0) as u64) & (1 - taken);
+            arena[a_slot] = (tag << 2) | (a_bits + a_inc - a_dec);
+            let g_inc = ((g_bits < 3) as u64) & taken;
+            let g_dec = ((g_bits > 0) as u64) & (1 - taken);
+            arena[g_slot] = (tag << 2) | (g_bits + g_inc - g_dec);
+            hist = ((hist << 1) | taken) & hist_mask;
+        }
+        p.hist.value = hist;
+        lanes.add(lane, conflicts, harmless, wrong);
+    }
 }
 
-impl TournamentGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        // Three regions per lane: address-indexed, gshare, chooser.
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = TournamentGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            addr_mask: Vec::with_capacity(lanes),
-            gshare_mask: Vec::with_capacity(lanes),
-            chooser_mask: Vec::with_capacity(lanes),
-            addr_base: Vec::with_capacity(lanes),
-            gshare_base: Vec::with_capacity(lanes),
-            chooser_base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .addr_mask
-                .push(wide_low_mask(spec.plan.reads[0].col_bits));
-            group
-                .gshare_mask
-                .push(wide_low_mask(spec.plan.reads[1].row_bits));
-            group
-                .chooser_mask
-                .push(wide_low_mask(spec.plan.reads[2].col_bits));
-            group.addr_base.push(bases[3 * lane]);
-            group.gshare_base.push(bases[3 * lane + 1]);
-            let chooser_base = bases[3 * lane + 2];
-            group.chooser_base.push(chooser_base);
-            // The scalar chooser starts weakly-not-taken ("trust the
-            // first component"), unlike the arena's weakly-taken
-            // default.
-            let chooser_cells = spec.plan.reads[2].cells();
-            for slot in chooser_base..chooser_base + chooser_cells {
-                group.arena[slot as usize] = cell::fresh(1);
-            }
+/// [`PlanKind::TaggedChoice`] (YAGS): an untagged choice read gives
+/// the bias; the opposite direction cache — a tagged exception store —
+/// is probed at `history ^ address`, and a tag hit overrides the bias.
+/// Training steps the probed entry on a hit, allocates (unconditional
+/// eviction, tag + weak counter) on a wrong-bias miss, and retrains
+/// the choice unless a hit already captured the anti-bias outcome —
+/// exactly the [`Yags`](bpred_core::Yags) sequence. Cache entries live
+/// in the shared arena with the partial tag in the owner bits and
+/// [`YAGS_EMPTY_TAG`] for empty entries.
+fn replay_yags(
+    lanes: &mut LaneHeaders,
+    params: &mut [YagsLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, seen, warmup) = (cols.stream, cols.seen, cols.warmup);
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let (choice_mask, cache_mask, tag_mask) = (p.choice_mask, p.cache_mask, p.tag_mask);
+        let (choice_base, taken_base, not_taken_base) =
+            (p.choice_base, p.taken_base, p.not_taken_base);
+        let (hist_mask, all_taken_ref) = (p.hist.mask, p.hist.all_taken);
+        let mut hist = p.hist.value;
+        let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
+        for (i, &packed) in stream.iter().enumerate() {
+            let scored = (seen + i as u64 >= warmup) as u64;
+            let taken = packed & 1;
+            let word = packed >> 3;
+            let tag = (packed >> 1) & cell::EMPTY_OWNER;
+            let all_taken = (hist == all_taken_ref) as u64;
+            // The choice access: bias prediction plus the lane's only
+            // alias accounting (the scalar caches are uninstrumented).
+            let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
+            let choice_cell = arena[choice_slot];
+            let owner = choice_cell >> 2;
+            let c_bits = choice_cell & 0b11;
+            let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+            conflicts += conflict;
+            harmless += conflict & all_taken;
+            let bias = (c_bits >= 2) as u64;
+            // Probe the cache opposite the bias for an exception.
+            let cache_base = taken_base ^ ((not_taken_base ^ taken_base) & bias.wrapping_neg());
+            let entry_slot = ((cache_base | ((hist ^ word) & cache_mask)) as usize) & mask;
+            let entry = arena[entry_slot];
+            let entry_tag = entry >> 2;
+            let entry_bits = entry & 0b11;
+            let partial = word & tag_mask;
+            let hit = (entry_tag == partial) as u64;
+            let entry_pred = (entry_bits >= 2) as u64;
+            let predicted = bias ^ ((bias ^ entry_pred) & hit.wrapping_neg());
+            wrong += scored & (predicted ^ taken);
+            // Cache entry: train on a hit, allocate (evict) on a
+            // wrong-bias miss, leave untouched otherwise.
+            let inc = ((entry_bits < 3) as u64) & taken;
+            let dec = ((entry_bits > 0) as u64) & (1 - taken);
+            let trained = (entry_tag << 2) | (entry_bits + inc - dec);
+            let allocated = (partial << 2) | (1 + taken);
+            let hit_m = hit.wrapping_neg();
+            let alloc_m = ((1 - hit) & (taken ^ bias)).wrapping_neg();
+            arena[entry_slot] =
+                (trained & hit_m) | (allocated & alloc_m) | (entry & !(hit_m | alloc_m));
+            // Choice: retrain toward the outcome unless a hit already
+            // captured the anti-bias outcome; owner is re-tagged
+            // either way (the scalar access touched it).
+            let train = 1 - (hit & (taken ^ bias));
+            let cinc = ((c_bits < 3) as u64) & taken & train;
+            let cdec = ((c_bits > 0) as u64) & (1 - taken) & train;
+            arena[choice_slot] = (tag << 2) | (c_bits + cinc - cdec);
+            hist = ((hist << 1) | taken) & hist_mask;
         }
-        group
+        p.hist.value = hist;
+        lanes.add(lane, conflicts, harmless, wrong);
     }
+}
 
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let addr_mask = self.addr_mask[lane];
-            let gshare_mask = self.gshare_mask[lane];
-            let chooser_mask = self.chooser_mask[lane];
-            let addr_base = self.addr_base[lane];
-            let gshare_base = self.gshare_base[lane];
-            let chooser_base = self.chooser_base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
+/// [`PlanKind::PathHistory`]: the unified counter read with its row
+/// selected by a global path register of hashed control-transfer
+/// targets. The register shifts on *every* control transfer
+/// (conditionals push their resolved destination, non-conditionals
+/// their target), so this kernel walks [`Columns::events`] — one
+/// element per record — with a cursor into the conditional stream:
+/// conditionals read-modify-write their counter before the register
+/// shifts in their destination. Path row selections never count as
+/// all-taken patterns, so harmless conflicts are structurally zero, as
+/// in the scalar selector.
+fn replay_path(
+    lanes: &mut LaneHeaders,
+    params: &mut [PathLane],
+    arena: &mut [u64],
+    cols: &Columns,
+) {
+    let (stream, events, seen, warmup) = (cols.stream, cols.events, cols.seen, cols.warmup);
+    let mask = arena.len() - 1;
+    for (lane, p) in params.iter_mut().enumerate() {
+        let UnifiedRead {
+            base,
+            row_mask,
+            col_shift,
+            col_mask,
+        } = p.read;
+        let (reg_mask, bpt, bpt_mask) = (p.reg_mask, p.bpt, p.bpt_mask);
+        let mut reg = p.reg;
+        let (mut conflicts, mut wrong) = (0u64, 0u64);
+        let mut ci = 0usize;
+        for &event in events {
+            if event & 1 == 1 {
+                let packed = stream[ci];
+                let scored = (seen + ci as u64 >= warmup) as u64;
+                ci += 1;
                 let taken = packed & 1;
                 let word = packed >> 3;
                 let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                // Component 0: address-indexed (row always zero, so
-                // never an all-taken pattern).
-                let a_slot = ((addr_base | (word & addr_mask)) as usize) & mask;
-                let a_cell = arena[a_slot];
-                let a_owner = a_cell >> 2;
-                let a_bits = a_cell & 0b11;
-                let a_conflict = ((a_owner != cell::EMPTY_OWNER) & (a_owner != tag)) as u64;
-                // Component 1: gshare (column-free — the read is
-                // `history_bits` rows wide).
-                let g_row = (hist ^ (word & gshare_mask)) & gshare_mask;
-                let g_slot = ((gshare_base | g_row) as usize) & mask;
-                let g_cell = arena[g_slot];
-                let g_owner = g_cell >> 2;
-                let g_bits = g_cell & 0b11;
-                let g_conflict = ((g_owner != cell::EMPTY_OWNER) & (g_owner != tag)) as u64;
-                conflicts += a_conflict + g_conflict;
-                harmless += g_conflict & ((hist == all_taken_ref) as u64);
-                let a_pred = (a_bits >= 2) as u64;
-                let g_pred = (g_bits >= 2) as u64;
-                let chooser_slot = ((chooser_base | (word & chooser_mask)) as usize) & mask;
-                let chooser_cell = arena[chooser_slot];
-                let ch_bits = chooser_cell & 0b11;
-                let use_second = (ch_bits >= 2) as u64;
-                let predicted = a_pred ^ ((a_pred ^ g_pred) & use_second.wrapping_neg());
-                wrong += scored & (predicted ^ taken);
-                // Chooser trains toward "the second component was
-                // right", only on disagreement; its owner (empty) is
-                // preserved — the scalar chooser is untagged.
-                let train = a_pred ^ g_pred;
-                let toward_second = 1 ^ g_pred ^ taken;
-                let cinc = ((ch_bits < 3) as u64) & toward_second & train;
-                let cdec = ((ch_bits > 0) as u64) & (1 - toward_second) & train;
-                arena[chooser_slot] = (chooser_cell & !0b11u64) | (ch_bits + cinc - cdec);
-                // Both components train toward the outcome, owner
-                // re-tagged — the scalar access-then-retrain pair,
-                // fused as in [`cell::step`].
-                let a_inc = ((a_bits < 3) as u64) & taken;
-                let a_dec = ((a_bits > 0) as u64) & (1 - taken);
-                arena[a_slot] = (tag << 2) | (a_bits + a_inc - a_dec);
-                let g_inc = ((g_bits < 3) as u64) & taken;
-                let g_dec = ((g_bits > 0) as u64) & (1 - taken);
-                arena[g_slot] = (tag << 2) | (g_bits + g_inc - g_dec);
-                hist = ((hist << 1) | taken) & hist_mask;
+                let idx = ((reg & row_mask) << col_shift) | (word & col_mask);
+                let slot = ((base | idx) as usize) & mask;
+                let cell_word = arena[slot];
+                let owner = cell_word >> 2;
+                let bits = cell_word & 0b11;
+                conflicts += ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
+                wrong += scored & ((bits >= 2) as u64 ^ taken);
+                let inc = ((bits < 3) as u64) & taken;
+                let dec = ((bits > 0) as u64) & (1 - taken);
+                arena[slot] = (tag << 2) | (bits + inc - dec);
             }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
+            reg = ((reg << bpt) | ((event >> 1) & bpt_mask)) & reg_mask;
         }
-    }
-
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                // Both components access per conditional (the scalar
-                // kernel sums its components' stats); the chooser is
-                // never an access.
-                alias: Some(AliasStats {
-                    accesses: 2 * seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
+        debug_assert_eq!(ci, stream.len());
+        p.reg = reg;
+        lanes.add(lane, conflicts, 0, wrong);
     }
 }
 
-/// A lane group for [`PlanKind::TaggedChoice`] (YAGS): an untagged
-/// choice read gives the bias; the opposite direction cache — a
-/// tagged exception store — is probed at `history ^ address`, and a
-/// tag hit overrides the bias. Training steps the probed entry on a
-/// hit, allocates (unconditional eviction, tag + weak counter) on a
-/// wrong-bias miss, and retrains the choice unless a hit already
-/// captured the anti-bias outcome — exactly the
-/// [`Yags`](bpred_core::Yags) sequence. Cache entries live in the
-/// shared arena with the partial tag in the owner bits and the
-/// `u16::MAX` empty sentinel (partial tags are at most 8 bits, so the
-/// sentinel is unreachable).
-#[derive(Debug)]
-struct TaggedGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    hist: Vec<u64>,
-    hist_mask: Vec<u64>,
-    all_taken_ref: Vec<u64>,
-    choice_mask: Vec<u64>,
-    cache_mask: Vec<u64>,
-    tag_mask: Vec<u64>,
-    choice_base: Vec<u64>,
-    taken_base: Vec<u64>,
-    not_taken_base: Vec<u64>,
-    conflicts: Vec<u64>,
-    harmless: Vec<u64>,
-    mispredictions: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl TaggedGroup {
-    /// The empty-entry tag of a direction-cache cell, matching the
-    /// scalar cache's `u16::MAX` sentinel.
-    const EMPTY_TAG: u64 = u16::MAX as u64;
-
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        // Three regions per lane: choice, taken-cache, not-taken-cache.
-        let sizes: Vec<u64> = specs
-            .iter()
-            .flat_map(|s| s.plan.reads.iter().map(TableRead::cells))
-            .collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = TaggedGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            hist: vec![0; lanes],
-            hist_mask: Vec::with_capacity(lanes),
-            all_taken_ref: Vec::with_capacity(lanes),
-            choice_mask: Vec::with_capacity(lanes),
-            cache_mask: Vec::with_capacity(lanes),
-            tag_mask: Vec::with_capacity(lanes),
-            choice_base: Vec::with_capacity(lanes),
-            taken_base: Vec::with_capacity(lanes),
-            not_taken_base: Vec::with_capacity(lanes),
-            conflicts: vec![0; lanes],
-            harmless: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for (lane, spec) in specs.into_iter().enumerate() {
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.hist_mask.push(wide_low_mask(spec.plan.history_bits));
-            group
-                .all_taken_ref
-                .push(all_taken_reference(spec.plan.history_bits));
-            group
-                .choice_mask
-                .push(wide_low_mask(spec.plan.reads[0].col_bits));
-            group
-                .cache_mask
-                .push(wide_low_mask(spec.plan.reads[1].row_bits));
-            group
-                .tag_mask
-                .push(wide_low_mask(spec.plan.reads[1].tag_bits));
-            group.choice_base.push(bases[3 * lane]);
-            let (t_base, nt_base) = (bases[3 * lane + 1], bases[3 * lane + 2]);
-            group.taken_base.push(t_base);
-            group.not_taken_base.push(nt_base);
-            // Empty cache entries: sentinel tag, weakly-taken counter
-            // in the taken cache / weakly-not-taken in the not-taken
-            // cache (the scalar caches' initial counters — never
-            // observable before an allocation overwrites them, kept
-            // identical anyway).
-            let cache_cells = spec.plan.reads[1].cells();
-            for slot in t_base..t_base + cache_cells {
-                group.arena[slot as usize] = (Self::EMPTY_TAG << 2) | 2;
-            }
-            for slot in nt_base..nt_base + cache_cells {
-                group.arena[slot as usize] = (Self::EMPTY_TAG << 2) | 1;
-            }
-        }
-        group
-    }
-
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let choice_mask = self.choice_mask[lane];
-            let cache_mask = self.cache_mask[lane];
-            let tag_mask = self.tag_mask[lane];
-            let choice_base = self.choice_base[lane];
-            let taken_base = self.taken_base[lane];
-            let not_taken_base = self.not_taken_base[lane];
-            let hist_mask = self.hist_mask[lane];
-            let all_taken_ref = self.all_taken_ref[lane];
-            let mut hist = self.hist[lane];
-            let (mut conflicts, mut harmless, mut wrong) = (0u64, 0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            for (i, &packed) in stream.iter().enumerate() {
-                let scored = (seen + i as u64 >= warmup) as u64;
-                let taken = packed & 1;
-                let word = packed >> 3;
-                let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                let all_taken = (hist == all_taken_ref) as u64;
-                // The choice access: bias prediction plus the lane's
-                // only alias accounting (the scalar caches are
-                // uninstrumented).
-                let choice_slot = ((choice_base | (word & choice_mask)) as usize) & mask;
-                let choice_cell = arena[choice_slot];
-                let owner = choice_cell >> 2;
-                let c_bits = choice_cell & 0b11;
-                let conflict = ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                conflicts += conflict;
-                harmless += conflict & all_taken;
-                let bias = (c_bits >= 2) as u64;
-                // Probe the cache opposite the bias for an exception.
-                let cache_base = taken_base ^ ((not_taken_base ^ taken_base) & bias.wrapping_neg());
-                let entry_slot = ((cache_base | ((hist ^ word) & cache_mask)) as usize) & mask;
-                let entry = arena[entry_slot];
-                let entry_tag = entry >> 2;
-                let entry_bits = entry & 0b11;
-                let partial = word & tag_mask;
-                let hit = (entry_tag == partial) as u64;
-                let entry_pred = (entry_bits >= 2) as u64;
-                let predicted = bias ^ ((bias ^ entry_pred) & hit.wrapping_neg());
-                wrong += scored & (predicted ^ taken);
-                // Cache entry: train on a hit, allocate (evict) on a
-                // wrong-bias miss, leave untouched otherwise.
-                let inc = ((entry_bits < 3) as u64) & taken;
-                let dec = ((entry_bits > 0) as u64) & (1 - taken);
-                let trained = (entry_tag << 2) | (entry_bits + inc - dec);
-                let allocated = (partial << 2) | (1 + taken);
-                let hit_m = hit.wrapping_neg();
-                let alloc_m = ((1 - hit) & (taken ^ bias)).wrapping_neg();
-                arena[entry_slot] =
-                    (trained & hit_m) | (allocated & alloc_m) | (entry & !(hit_m | alloc_m));
-                // Choice: retrain toward the outcome unless a hit
-                // already captured the anti-bias outcome; owner is
-                // re-tagged either way (the scalar access touched it).
-                let train = 1 - (hit & (taken ^ bias));
-                let cinc = ((c_bits < 3) as u64) & taken & train;
-                let cdec = ((c_bits > 0) as u64) & (1 - taken) & train;
-                arena[choice_slot] = (tag << 2) | (c_bits + cinc - cdec);
-                hist = ((hist << 1) | taken) & hist_mask;
-            }
-            self.hist[lane] = hist;
-            self.conflicts[lane] += conflicts;
-            self.harmless[lane] += harmless;
-            self.mispredictions[lane] += wrong;
-        }
-    }
-
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                // Choice table only, as in the scalar kernel.
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: self.harmless[lane],
-                }),
-                bht: None,
-            });
-        }
-    }
-}
-
-/// A lane group for [`PlanKind::PathHistory`]: the unified counter
-/// read with its row selected by a global path register of hashed
-/// control-transfer targets. The register shifts on *every* control
-/// transfer (conditionals push their resolved destination,
-/// non-conditionals their target), so this group consumes the
-/// [`LaneSet`] per-chunk *event* column — one element per record —
-/// alongside the conditional stream. Path row selections never count
-/// as all-taken patterns, so harmless conflicts are structurally
-/// zero, as in the scalar selector.
-#[derive(Debug)]
-struct PathGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    /// The path register, kept masked to its width.
-    reg: Vec<u64>,
-    reg_mask: Vec<u64>,
-    /// Bits contributed per control transfer (the `q` parameter).
-    bpt: Vec<u64>,
-    bpt_mask: Vec<u64>,
-    row_mask: Vec<u64>,
-    col_shift: Vec<u64>,
-    col_mask: Vec<u64>,
-    base: Vec<u64>,
-    conflicts: Vec<u64>,
-    mispredictions: Vec<u64>,
-    arena: Vec<u64>,
-}
-
-impl PathGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let sizes: Vec<u64> = specs.iter().map(|s| s.plan.cells()).collect();
-        let (bases, arena_len) = place_regions(&sizes);
-        let lanes = specs.len();
-        let mut group = PathGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            reg: vec![0; lanes],
-            reg_mask: Vec::with_capacity(lanes),
-            bpt: Vec::with_capacity(lanes),
-            bpt_mask: Vec::with_capacity(lanes),
-            row_mask: Vec::with_capacity(lanes),
-            col_shift: Vec::with_capacity(lanes),
-            col_mask: Vec::with_capacity(lanes),
-            base: bases,
-            conflicts: vec![0; lanes],
-            mispredictions: vec![0; lanes],
-            arena: fresh_arena(arena_len),
-        };
-        for spec in specs {
-            let read = spec.plan.reads[0];
-            let bits_per_target = match spec.plan.level1 {
-                Level1Read::PathHistory { bits_per_target } => bits_per_target,
-                ref other => unreachable!("path group from {other:?}"),
-            };
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            // A zero-width register is inert: the mask pins it to
-            // zero, matching the scalar push's width-0 no-op.
-            group.reg_mask.push(wide_low_mask(spec.plan.history_bits));
-            group.bpt.push(u64::from(bits_per_target));
-            group.bpt_mask.push(wide_low_mask(bits_per_target));
-            group.row_mask.push(wide_low_mask(read.row_bits));
-            group.col_shift.push(u64::from(read.col_bits));
-            group.col_mask.push(wide_low_mask(read.col_bits));
-        }
-        group
-    }
-
-    /// Walks the per-record event column (`(dest_word << 1) |
-    /// is_conditional`) with a cursor into the dense conditional
-    /// stream: conditionals read-modify-write their counter before
-    /// the register shifts in their destination; every record shifts.
-    fn replay(&mut self, stream: &[u64], events: &[u64], seen: u64, warmup: u64) {
-        for lane in 0..self.indices.len() {
-            let reg_mask = self.reg_mask[lane];
-            let bpt = self.bpt[lane];
-            let bpt_mask = self.bpt_mask[lane];
-            let row_mask = self.row_mask[lane];
-            let col_shift = self.col_shift[lane];
-            let col_mask = self.col_mask[lane];
-            let base = self.base[lane];
-            let mut reg = self.reg[lane];
-            let (mut conflicts, mut wrong) = (0u64, 0u64);
-            let arena = self.arena.as_mut_slice();
-            let mask = arena.len() - 1;
-            let mut ci = 0usize;
-            for &event in events {
-                if event & 1 == 1 {
-                    let packed = stream[ci];
-                    let scored = (seen + ci as u64 >= warmup) as u64;
-                    ci += 1;
-                    let taken = packed & 1;
-                    let word = packed >> 3;
-                    let tag = (packed >> 1) & cell::EMPTY_OWNER;
-                    let idx = ((reg & row_mask) << col_shift) | (word & col_mask);
-                    let slot = ((base | idx) as usize) & mask;
-                    let cell_word = arena[slot];
-                    let owner = cell_word >> 2;
-                    let bits = cell_word & 0b11;
-                    conflicts += ((owner != cell::EMPTY_OWNER) & (owner != tag)) as u64;
-                    wrong += scored & ((bits >= 2) as u64 ^ taken);
-                    let inc = ((bits < 3) as u64) & taken;
-                    let dec = ((bits > 0) as u64) & (1 - taken);
-                    arena[slot] = (tag << 2) | (bits + inc - dec);
-                }
-                reg = ((reg << bpt) | ((event >> 1) & bpt_mask)) & reg_mask;
-            }
-            debug_assert_eq!(ci, stream.len());
-            self.reg[lane] = reg;
-            self.conflicts[lane] += conflicts;
-            self.mispredictions[lane] += wrong;
-        }
-    }
-
-    fn finish(self, seen: u64, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: Some(AliasStats {
-                    accesses: seen,
-                    conflicts: self.conflicts[lane],
-                    harmless_conflicts: 0,
-                }),
-                bht: None,
-            });
-        }
-    }
-}
-
-/// A lane group for [`PlanKind::LastOutcome`]: LastTime's degenerate
-/// one-bit table, predicting whatever outcome the indexed entry last
-/// stored. No shared-arena cells (there are no counters to pack and
-/// no owner tags to account) — each lane is a flat byte-per-entry
-/// table, updated with a blind store so no read-modify-write chain
-/// serializes the walk.
-#[derive(Debug)]
-struct LastTimeGroup {
-    indices: Vec<usize>,
-    names: Vec<String>,
-    state_bits: Vec<u64>,
-    addr_mask: Vec<u64>,
-    /// Per-lane last-outcome table, one byte per entry (0 =
-    /// not-taken, the initial state, 1 = taken).
-    table: Vec<Vec<u8>>,
-    mispredictions: Vec<u64>,
-}
-
-impl LastTimeGroup {
-    fn new(specs: Vec<PlanSpec>) -> Self {
-        debug_assert!(!specs.is_empty() && specs.len() <= cell::PACKED_LANES);
-        let lanes = specs.len();
-        let mut group = LastTimeGroup {
-            indices: Vec::with_capacity(lanes),
-            names: Vec::with_capacity(lanes),
-            state_bits: Vec::with_capacity(lanes),
-            addr_mask: Vec::with_capacity(lanes),
-            table: Vec::with_capacity(lanes),
-            mispredictions: vec![0; lanes],
-        };
-        for spec in specs {
-            let read = spec.plan.reads[0];
-            group.indices.push(spec.index);
-            group.names.push(spec.name);
-            group.state_bits.push(spec.state_bits);
-            group.addr_mask.push(wide_low_mask(read.col_bits));
-            group.table.push(vec![0u8; read.cells() as usize]);
-        }
-        group
-    }
-
-    fn replay(&mut self, stream: &[u64], seen: u64, warmup: u64) {
-        // Split the chunk at the warmup boundary once instead of
-        // testing `seen >= warmup` per record: warmup records update
-        // the table without scoring, scored records pay one load +
-        // xor + blind store each. Lanes walk the stream in quads so
-        // the shared record decode amortizes and same-entry
-        // store-to-load chains from different lanes overlap.
-        let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
-        let (unscored, rest) = stream.split_at(boundary);
-        let mut lane = 0;
-        while lane + 8 <= self.indices.len() {
-            let masks: [u64; 8] = std::array::from_fn(|k| self.addr_mask[lane + k]);
-            let mut wrong = [0u64; 8];
-            if let [t0, t1, t2, t3, t4, t5, t6, t7] = &mut self.table[lane..lane + 8] {
-                let tables: [&mut [u8]; 8] = [
-                    &mut t0[..=(masks[0] as usize)],
-                    &mut t1[..=(masks[1] as usize)],
-                    &mut t2[..=(masks[2] as usize)],
-                    &mut t3[..=(masks[3] as usize)],
-                    &mut t4[..=(masks[4] as usize)],
-                    &mut t5[..=(masks[5] as usize)],
-                    &mut t6[..=(masks[6] as usize)],
-                    &mut t7[..=(masks[7] as usize)],
-                ];
-                for &packed in unscored {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    for k in 0..8 {
-                        tables[k][(key & masks[k]) as usize] = taken;
-                    }
-                }
-                for &packed in rest {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    for k in 0..8 {
-                        let idx = (key & masks[k]) as usize;
-                        wrong[k] += (tables[k][idx] ^ taken) as u64;
-                        tables[k][idx] = taken;
-                    }
-                }
-            }
-            for (k, wrong) in wrong.into_iter().enumerate() {
-                self.mispredictions[lane + k] += wrong;
-            }
-            lane += 8;
-        }
-        while lane + 4 <= self.indices.len() {
-            let [m0, m1, m2, m3] = [
-                self.addr_mask[lane],
-                self.addr_mask[lane + 1],
-                self.addr_mask[lane + 2],
-                self.addr_mask[lane + 3],
+/// [`PlanKind::LastOutcome`]: LastTime's degenerate one-bit table,
+/// predicting whatever outcome the indexed entry last stored. Each
+/// lane is a flat byte-per-entry table (no counters to pack, no owner
+/// tags to account), updated with a blind store so no
+/// read-modify-write chain serializes the walk.
+fn replay_last_time(lanes: &mut LaneHeaders, params: &mut [LastLane], cols: &Columns) {
+    let (stream, seen, warmup) = (cols.stream, cols.seen, cols.warmup);
+    // Split the chunk at the warmup boundary once instead of testing
+    // `seen >= warmup` per record: warmup records update the table
+    // without scoring, scored records pay one load + xor + blind store
+    // each. Lanes walk the stream in blocks of eight and four so the
+    // shared record decode amortizes and same-entry store-to-load
+    // chains from different lanes overlap.
+    let boundary = warmup.saturating_sub(seen).min(stream.len() as u64) as usize;
+    let (unscored, rest) = stream.split_at(boundary);
+    let mut lane = 0;
+    while lane + 8 <= params.len() {
+        let masks: [u64; 8] = std::array::from_fn(|k| params[lane + k].addr_mask);
+        let mut wrong = [0u64; 8];
+        if let [t0, t1, t2, t3, t4, t5, t6, t7] = &mut params[lane..lane + 8] {
+            let tables: [&mut [u8]; 8] = [
+                &mut t0.table[..=(masks[0] as usize)],
+                &mut t1.table[..=(masks[1] as usize)],
+                &mut t2.table[..=(masks[2] as usize)],
+                &mut t3.table[..=(masks[3] as usize)],
+                &mut t4.table[..=(masks[4] as usize)],
+                &mut t5.table[..=(masks[5] as usize)],
+                &mut t6.table[..=(masks[6] as usize)],
+                &mut t7.table[..=(masks[7] as usize)],
             ];
-            let mut wrong = [0u64; 4];
-            if let [t0, t1, t2, t3] = &mut self.table[lane..lane + 4] {
-                // Reslice each table to exactly `mask + 1` entries (its
-                // full length) so the masked index is provably in
-                // bounds and the inner loops stay check-free.
-                let (t0, t1, t2, t3) = (
-                    &mut t0[..=(m0 as usize)],
-                    &mut t1[..=(m1 as usize)],
-                    &mut t2[..=(m2 as usize)],
-                    &mut t3[..=(m3 as usize)],
-                );
-                for &packed in unscored {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    t0[(key & m0) as usize] = taken;
-                    t1[(key & m1) as usize] = taken;
-                    t2[(key & m2) as usize] = taken;
-                    t3[(key & m3) as usize] = taken;
-                }
-                for &packed in rest {
-                    let taken = (packed & 1) as u8;
-                    let key = packed >> 3;
-                    let (i0, i1, i2, i3) = (
-                        (key & m0) as usize,
-                        (key & m1) as usize,
-                        (key & m2) as usize,
-                        (key & m3) as usize,
-                    );
-                    wrong[0] += (t0[i0] ^ taken) as u64;
-                    t0[i0] = taken;
-                    wrong[1] += (t1[i1] ^ taken) as u64;
-                    t1[i1] = taken;
-                    wrong[2] += (t2[i2] ^ taken) as u64;
-                    t2[i2] = taken;
-                    wrong[3] += (t3[i3] ^ taken) as u64;
-                    t3[i3] = taken;
-                }
-            }
-            for (k, wrong) in wrong.into_iter().enumerate() {
-                self.mispredictions[lane + k] += wrong;
-            }
-            lane += 4;
-        }
-        for lane in lane..self.indices.len() {
-            let addr_mask = self.addr_mask[lane];
-            let table = &mut self.table[lane][..=(addr_mask as usize)];
-            let mut wrong = 0u64;
             for &packed in unscored {
-                table[((packed >> 3) & addr_mask) as usize] = (packed & 1) as u8;
+                let taken = (packed & 1) as u8;
+                let key = packed >> 3;
+                for k in 0..8 {
+                    tables[k][(key & masks[k]) as usize] = taken;
+                }
             }
             for &packed in rest {
                 let taken = (packed & 1) as u8;
-                let idx = ((packed >> 3) & addr_mask) as usize;
-                wrong += (table[idx] ^ taken) as u64;
-                table[idx] = taken;
+                let key = packed >> 3;
+                for k in 0..8 {
+                    let idx = (key & masks[k]) as usize;
+                    wrong[k] += (tables[k][idx] ^ taken) as u64;
+                    tables[k][idx] = taken;
+                }
             }
-            self.mispredictions[lane] += wrong;
         }
+        for (k, wrong) in wrong.into_iter().enumerate() {
+            lanes.mispredictions[lane + k] += wrong;
+        }
+        lane += 8;
     }
-
-    fn finish(self, scored: u64, results: &mut [Option<SimResult>]) {
-        for lane in 0..self.indices.len() {
-            results[self.indices[lane]] = Some(SimResult {
-                predictor: self.names[lane].clone(),
-                state_bits: self.state_bits[lane],
-                conditionals: scored,
-                mispredictions: self.mispredictions[lane],
-                alias: None,
-                bht: None,
-            });
+    while lane + 4 <= params.len() {
+        let mut wrong = [0u64; 4];
+        if let [p0, p1, p2, p3] = &mut params[lane..lane + 4] {
+            let [m0, m1, m2, m3] = [p0.addr_mask, p1.addr_mask, p2.addr_mask, p3.addr_mask];
+            // Reslice each table to exactly `mask + 1` entries (its
+            // full length) so the masked index is provably in bounds
+            // and the inner loops stay check-free.
+            let (t0, t1, t2, t3) = (
+                &mut p0.table[..=(m0 as usize)],
+                &mut p1.table[..=(m1 as usize)],
+                &mut p2.table[..=(m2 as usize)],
+                &mut p3.table[..=(m3 as usize)],
+            );
+            for &packed in unscored {
+                let taken = (packed & 1) as u8;
+                let key = packed >> 3;
+                t0[(key & m0) as usize] = taken;
+                t1[(key & m1) as usize] = taken;
+                t2[(key & m2) as usize] = taken;
+                t3[(key & m3) as usize] = taken;
+            }
+            for &packed in rest {
+                let taken = (packed & 1) as u8;
+                let key = packed >> 3;
+                let (i0, i1, i2, i3) = (
+                    (key & m0) as usize,
+                    (key & m1) as usize,
+                    (key & m2) as usize,
+                    (key & m3) as usize,
+                );
+                wrong[0] += (t0[i0] ^ taken) as u64;
+                t0[i0] = taken;
+                wrong[1] += (t1[i1] ^ taken) as u64;
+                t1[i1] = taken;
+                wrong[2] += (t2[i2] ^ taken) as u64;
+                t2[i2] = taken;
+                wrong[3] += (t3[i3] ^ taken) as u64;
+                t3[i3] = taken;
+            }
         }
+        for (k, wrong) in wrong.into_iter().enumerate() {
+            lanes.mispredictions[lane + k] += wrong;
+        }
+        lane += 4;
+    }
+    for (lane, p) in params.iter_mut().enumerate().skip(lane) {
+        let addr_mask = p.addr_mask;
+        let table = &mut p.table[..=(addr_mask as usize)];
+        let mut wrong = 0u64;
+        for &packed in unscored {
+            table[((packed >> 3) & addr_mask) as usize] = (packed & 1) as u8;
+        }
+        for &packed in rest {
+            let taken = (packed & 1) as u8;
+            let idx = ((packed >> 3) & addr_mask) as usize;
+            wrong += (table[idx] ^ taken) as u64;
+            table[idx] = taken;
+        }
+        lanes.mispredictions[lane] += wrong;
     }
 }
 
@@ -2332,19 +1703,9 @@ pub struct LaneSet {
     seen: u64,
     /// Conditionals scored so far (past the warmup prefix).
     scored: u64,
-    groups: Vec<GlobalGroup>,
-    pas_groups: Vec<TwoLevelGroup<PerfectRows>>,
-    finite_groups: Vec<TwoLevelGroup<FiniteRows>>,
-    sas_groups: Vec<TwoLevelGroup<SetRows>>,
-    agree_groups: Vec<AgreeGroup>,
-    bimode_groups: Vec<BiModeGroup>,
-    gskew_groups: Vec<GskewGroup>,
-    tournament_groups: Vec<TournamentGroup>,
-    yags_groups: Vec<TaggedGroup>,
-    path_groups: Vec<PathGroup>,
-    last_groups: Vec<LastTimeGroup>,
+    groups: Vec<Group>,
     statics: Vec<StaticUnit>,
-    scalars: Vec<(usize, Lane)>,
+    scalars: Vec<(usize, ReplayCore<PredictorKernel>)>,
     /// Per-chunk scratch: the dense conditional stream shared by every
     /// lane group (`(pc << 1) | taken`, non-conditionals dropped).
     conditionals: Vec<u64>,
@@ -2363,9 +1724,6 @@ pub struct LaneSet {
     /// Per-chunk scratch: pre-latch (bit 0) / post-latch (bit 1)
     /// bias-is-taken flags per conditional.
     bias_bits: Vec<u8>,
-    needs_ids: bool,
-    needs_bias: bool,
-    needs_events: bool,
 }
 
 impl LaneSet {
@@ -2374,173 +1732,56 @@ impl LaneSet {
     /// `simulator`'s warmup policy, shared by every tier.
     pub fn new(configs: &[PredictorConfig], simulator: Simulator) -> Self {
         let force_scalar = force_scalar();
-        let step = group_step();
-        let mut specs: Vec<GroupSpec> = Vec::new();
-        let mut pas_specs: Vec<PlanSpec> = Vec::new();
-        let mut finite_specs: Vec<PlanSpec> = Vec::new();
-        let mut sas_specs: Vec<PlanSpec> = Vec::new();
-        let mut agree_specs: Vec<PlanSpec> = Vec::new();
-        let mut bimode_specs: Vec<PlanSpec> = Vec::new();
-        let mut gskew_specs: Vec<PlanSpec> = Vec::new();
-        let mut tournament_specs: Vec<PlanSpec> = Vec::new();
-        let mut yags_specs: Vec<PlanSpec> = Vec::new();
-        let mut path_specs: Vec<PlanSpec> = Vec::new();
-        let mut last_specs: Vec<PlanSpec> = Vec::new();
+        let mut specs: Vec<PlanSpec> = Vec::new();
         let mut statics = Vec::new();
         let mut scalars = Vec::new();
         for (index, config) in configs.iter().enumerate() {
-            let scheme = match config {
-                _ if force_scalar => None,
-                PredictorConfig::AlwaysTaken => Some(StaticScheme::AlwaysTaken),
-                PredictorConfig::AlwaysNotTaken => Some(StaticScheme::AlwaysNotTaken),
-                PredictorConfig::Btfn => Some(StaticScheme::Btfn),
-                _ => None,
-            };
-            if let Some(scheme) = scheme {
-                statics.push(StaticUnit {
-                    index,
-                    scheme,
-                    mispredictions: 0,
-                });
+            if force_scalar {
+                scalars.push((index, ReplayCore::from_config(config, simulator)));
                 continue;
             }
-            let plan = if force_scalar {
-                None
-            } else {
-                WalkPlan::of(config)
-            };
-            match plan {
-                Some(plan) => {
+            let scheme = match config {
+                PredictorConfig::AlwaysTaken => StaticScheme::AlwaysTaken,
+                PredictorConfig::AlwaysNotTaken => StaticScheme::AlwaysNotTaken,
+                PredictorConfig::Btfn => StaticScheme::Btfn,
+                _ => {
+                    let plan = WalkPlan::of(config).expect("every stateful scheme has a plan");
                     // Name and state cost come from the kernel itself
                     // — the single source of the describe() rules —
                     // captured once at build and the kernel dropped.
                     let kernel = config.kernel();
-                    let (name, state_bits) = (kernel.name(), kernel.state_bits());
-                    if plan.kind() == PlanKind::Direct {
-                        let read = plan.reads[0];
-                        specs.push(GroupSpec {
-                            index,
-                            name,
-                            state_bits,
-                            row_bits: read.row_bits,
-                            col_bits: read.col_bits,
-                            xor: matches!(read.index, IndexFn::Unified { xor: true }),
-                            history: plan.level1 == Level1Read::GlobalHistory,
-                        });
-                    } else {
-                        let bucket = match plan.kind() {
-                            PlanKind::PerAddressPerfect => &mut pas_specs,
-                            PlanKind::PerAddressFinite => &mut finite_specs,
-                            PlanKind::PerSet => &mut sas_specs,
-                            PlanKind::AgreeBias => &mut agree_specs,
-                            PlanKind::BiModeChoice => &mut bimode_specs,
-                            PlanKind::SkewedMajority => &mut gskew_specs,
-                            PlanKind::TournamentChooser => &mut tournament_specs,
-                            PlanKind::TaggedChoice => &mut yags_specs,
-                            PlanKind::PathHistory => &mut path_specs,
-                            PlanKind::LastOutcome => &mut last_specs,
-                            PlanKind::Direct => unreachable!(),
-                        };
-                        bucket.push(PlanSpec {
-                            index,
-                            name,
-                            state_bits,
-                            plan,
-                        });
-                    }
+                    specs.push(PlanSpec {
+                        index,
+                        name: kernel.name(),
+                        state_bits: kernel.state_bits(),
+                        plan,
+                    });
+                    continue;
                 }
-                None => scalars.push((index, ReplayCore::from_config(config, simulator))),
-            }
+            };
+            statics.push(StaticUnit {
+                index,
+                scheme,
+                mispredictions: 0,
+            });
         }
-        let prefetch = group_prefetch();
-        // Row-blocked lane order (see `row_block_plans`): sort every
-        // bucket by descending footprint before the group split so
-        // iteration order matches arena placement order. The Direct
-        // specs get the same treatment with `GlobalGroup::new`'s own
-        // sort key, making its internal re-sort a no-op.
-        specs.sort_by(|a, b| b.cells().cmp(&a.cells()).then(a.index.cmp(&b.index)));
-        row_block_plans(&mut pas_specs);
-        row_block_plans(&mut finite_specs);
-        row_block_plans(&mut sas_specs);
-        row_block_plans(&mut agree_specs);
-        row_block_plans(&mut bimode_specs);
-        row_block_plans(&mut gskew_specs);
-        row_block_plans(&mut tournament_specs);
-        row_block_plans(&mut yags_specs);
-        row_block_plans(&mut path_specs);
-        row_block_plans(&mut last_specs);
-        let groups = split_at_lane_limit(specs)
-            .into_iter()
-            .map(|chunk| GlobalGroup::new(chunk, step, prefetch))
+        // Row-blocked lane order: within each kind, descending arena
+        // footprint (ties by configuration position) — the order
+        // `place_regions` assigns bases in — so consecutive lanes walk
+        // adjacent arena regions. Results are written through each
+        // lane's index, so this changes iteration order only.
+        specs.sort_by_key(|s| (tier_of(s.plan.kind()), Reverse(s.plan.cells()), s.index));
+        let groups = specs
+            .chunk_by(|a, b| a.plan.kind() == b.plan.kind())
+            .flat_map(|kind| kind.chunks(GROUP_LANES))
+            .map(Group::new)
             .collect();
-        let pas_groups: Vec<_> = split_at_lane_limit(pas_specs)
-            .into_iter()
-            .map(|chunk| {
-                let rows = PerfectRows::new(&chunk);
-                TwoLevelGroup::new(chunk, rows)
-            })
-            .collect();
-        let finite_groups = split_at_lane_limit(finite_specs)
-            .into_iter()
-            .map(|chunk| {
-                let rows = FiniteRows::new(&chunk);
-                TwoLevelGroup::new(chunk, rows)
-            })
-            .collect();
-        let sas_groups = split_at_lane_limit(sas_specs)
-            .into_iter()
-            .map(|chunk| {
-                let rows = SetRows::new(&chunk);
-                TwoLevelGroup::new(chunk, rows)
-            })
-            .collect();
-        let agree_groups: Vec<_> = split_at_lane_limit(agree_specs)
-            .into_iter()
-            .map(AgreeGroup::new)
-            .collect();
-        let bimode_groups = split_at_lane_limit(bimode_specs)
-            .into_iter()
-            .map(BiModeGroup::new)
-            .collect();
-        let gskew_groups = split_at_lane_limit(gskew_specs)
-            .into_iter()
-            .map(GskewGroup::new)
-            .collect();
-        let tournament_groups = split_at_lane_limit(tournament_specs)
-            .into_iter()
-            .map(TournamentGroup::new)
-            .collect();
-        let yags_groups = split_at_lane_limit(yags_specs)
-            .into_iter()
-            .map(TaggedGroup::new)
-            .collect();
-        let path_groups: Vec<_> = split_at_lane_limit(path_specs)
-            .into_iter()
-            .map(PathGroup::new)
-            .collect();
-        let last_groups = split_at_lane_limit(last_specs)
-            .into_iter()
-            .map(LastTimeGroup::new)
-            .collect();
-        let needs_ids = !pas_groups.is_empty() || !agree_groups.is_empty();
-        let needs_bias = !agree_groups.is_empty();
-        let needs_events = !path_groups.is_empty();
         LaneSet {
             len: configs.len(),
             warmup: simulator.warmup() as u64,
             seen: 0,
             scored: 0,
             groups,
-            pas_groups,
-            finite_groups,
-            sas_groups,
-            agree_groups,
-            bimode_groups,
-            gskew_groups,
-            tournament_groups,
-            yags_groups,
-            path_groups,
-            last_groups,
             statics,
             scalars,
             conditionals: Vec::new(),
@@ -2549,9 +1790,6 @@ impl LaneSet {
             ids: Vec::new(),
             bias: Vec::new(),
             bias_bits: Vec::new(),
-            needs_ids,
-            needs_bias,
-            needs_events,
         }
     }
 
@@ -2565,7 +1803,7 @@ impl LaneSet {
         self.len == 0
     }
 
-    /// Number of lanes on the scalar fallback tier.
+    /// Number of lanes on the scalar tier.
     pub fn scalar_lanes(&self) -> usize {
         self.scalars.len()
     }
@@ -2574,30 +1812,22 @@ impl LaneSet {
     /// [`LANE_TIER_LABELS`] — the raw material of the
     /// `bpred_replay_group_lanes{plan=...}` gauge.
     pub fn lane_tier_counts(&self) -> [u64; LANE_TIER_LABELS.len()] {
-        fn lanes_of<T>(groups: &[T], len: impl Fn(&T) -> usize) -> u64 {
-            groups.iter().map(len).sum::<usize>() as u64
+        let mut counts = [0u64; LANE_TIER_LABELS.len()];
+        for group in &self.groups {
+            counts[group.tier] += group.lanes.len() as u64;
         }
-        [
-            lanes_of(&self.groups, |g| g.indices.len()),
-            lanes_of(&self.pas_groups, |g| g.indices.len()),
-            lanes_of(&self.finite_groups, |g| g.indices.len()),
-            lanes_of(&self.sas_groups, |g| g.indices.len()),
-            lanes_of(&self.agree_groups, |g| g.indices.len()),
-            lanes_of(&self.bimode_groups, |g| g.indices.len()),
-            lanes_of(&self.gskew_groups, |g| g.indices.len()),
-            lanes_of(&self.tournament_groups, |g| g.indices.len()),
-            lanes_of(&self.yags_groups, |g| g.indices.len()),
-            lanes_of(&self.path_groups, |g| g.indices.len()),
-            lanes_of(&self.last_groups, |g| g.indices.len()),
-            self.statics.len() as u64,
-            self.scalars.len() as u64,
-        ]
+        counts[STATIC_TIER] = self.statics.len() as u64;
+        counts[SCALAR_TIER] = self.scalars.len() as u64;
+        counts
     }
 
-    /// Number of single-read groups whose footprint gate resolved the
-    /// two-phase prefetch form on (see `BPRED_GROUP_PREFETCH`).
+    /// Number of groups whose arena exceeds [`PREFETCH_SPILL_BYTES`]
+    /// and so run the prefetching single-read loop.
     pub fn prefetch_groups(&self) -> usize {
-        self.groups.iter().filter(|g| g.prefetch).count()
+        self.groups
+            .iter()
+            .filter(|g| matches!(g.kernel, Kernel::Direct { prefetch: true, .. }))
+            .count()
     }
 
     /// Feeds one chunk through every lane. Chunks must arrive in
@@ -2605,20 +1835,13 @@ impl LaneSet {
     /// [`ReplayCore::feed`] over the same records.
     pub fn replay_chunk(&mut self, chunk: &TraceChunk) {
         let (conditionals, taken) = conditional_counts(chunk);
-        let any_groups = !self.groups.is_empty()
-            || !self.pas_groups.is_empty()
-            || !self.finite_groups.is_empty()
-            || !self.sas_groups.is_empty()
-            || !self.agree_groups.is_empty()
-            || !self.bimode_groups.is_empty()
-            || !self.gskew_groups.is_empty()
-            || !self.tournament_groups.is_empty()
-            || !self.yags_groups.is_empty()
-            || !self.path_groups.is_empty()
-            || !self.last_groups.is_empty();
-        if any_groups {
+        if !self.groups.is_empty() {
             collect_conditionals(chunk, &mut self.conditionals);
-            if self.needs_events {
+            if self
+                .groups
+                .iter()
+                .any(|g| matches!(g.kernel, Kernel::Path(_)))
+            {
                 // Path lanes shift on every record: build the shared
                 // per-record event column once — the destination a
                 // path register would hash (conditionals resolve to
@@ -2643,11 +1866,15 @@ impl LaneSet {
                     self.events.push(((dest >> 2) << 1) | cond);
                 }
             }
-            if self.needs_ids {
+            if self.groups.iter().any(Group::needs_ids) {
                 // One shared pre-pass: dense ids in first-appearance
                 // order (serving the perfect-BHT allocation and the
                 // agree bias store) and, when agree lanes exist, the
                 // record-major bias latch column.
+                let needs_bias = self
+                    .groups
+                    .iter()
+                    .any(|g| matches!(g.kernel, Kernel::Agree(_)));
                 self.ids.clear();
                 self.bias_bits.clear();
                 for &packed in &self.conditionals {
@@ -2655,7 +1882,7 @@ impl LaneSet {
                     let next = self.id_map.len() as u32;
                     let id = *self.id_map.entry(pc).or_insert(next);
                     self.ids.push(id);
-                    if self.needs_bias {
+                    if needs_bias {
                         let taken = (packed & 1) as u8;
                         if id as usize == self.bias.len() {
                             self.bias.push(0);
@@ -2670,38 +1897,16 @@ impl LaneSet {
                     }
                 }
             }
+            let cols = Columns {
+                stream: &self.conditionals,
+                ids: &self.ids,
+                bias_bits: &self.bias_bits,
+                events: &self.events,
+                seen: self.seen,
+                warmup: self.warmup,
+            };
             for group in &mut self.groups {
-                group.replay_conditionals(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.pas_groups {
-                group.replay(&self.conditionals, &self.ids, self.seen, self.warmup);
-            }
-            for group in &mut self.finite_groups {
-                group.replay(&self.conditionals, &self.ids, self.seen, self.warmup);
-            }
-            for group in &mut self.sas_groups {
-                group.replay(&self.conditionals, &self.ids, self.seen, self.warmup);
-            }
-            for group in &mut self.agree_groups {
-                group.replay(&self.conditionals, &self.bias_bits, self.seen, self.warmup);
-            }
-            for group in &mut self.bimode_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.gskew_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.tournament_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.yags_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
-            }
-            for group in &mut self.path_groups {
-                group.replay(&self.conditionals, &self.events, self.seen, self.warmup);
-            }
-            for group in &mut self.last_groups {
-                group.replay(&self.conditionals, self.seen, self.warmup);
+                group.replay(&cols);
             }
         }
         for unit in &mut self.statics {
@@ -2721,37 +1926,7 @@ impl LaneSet {
         let mut results: Vec<Option<SimResult>> = (0..self.len).map(|_| None).collect();
         let distinct = self.id_map.len() as u64;
         for group in self.groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.pas_groups {
             group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.finite_groups {
-            group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.sas_groups {
-            group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.agree_groups {
-            group.finish(self.seen, self.scored, distinct, &mut results);
-        }
-        for group in self.bimode_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.gskew_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.tournament_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.yags_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.path_groups {
-            group.finish(self.seen, self.scored, &mut results);
-        }
-        for group in self.last_groups {
-            group.finish(self.scored, &mut results);
         }
         for unit in self.statics {
             let slot = unit.index;
@@ -2767,31 +1942,10 @@ impl LaneSet {
     }
 }
 
-/// Replays `source` against every configuration through the tiered
-/// multilane kernels, one decode pass over the stream. Results come
-/// back in configuration order, bit-identical to [`Simulator::run`]
-/// per configuration.
-pub fn replay_multilane<S>(
-    configs: &[PredictorConfig],
-    source: &S,
-    simulator: Simulator,
-) -> Vec<SimResult>
-where
-    S: TraceSource + ?Sized,
-{
-    let mut lanes = LaneSet::new(configs, simulator);
-    let mut feeder = source.chunk_feeder();
-    let mut chunk = TraceChunk::with_capacity(TraceChunk::DEFAULT_LEN);
-    while feeder.refill(&mut chunk, TraceChunk::DEFAULT_LEN) > 0 {
-        lanes.replay_chunk(&chunk);
-    }
-    lanes.finish()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bpred_trace::{BranchRecord, Trace};
+    use bpred_trace::{BranchRecord, Trace, TraceSource};
 
     fn trace(n: usize) -> Trace {
         let mut t = Trace::new();
@@ -2842,8 +1996,17 @@ mod tests {
         ]
     }
 
+    /// One [`LaneSet`] over `t` in default-length chunks.
+    fn replay(configs: &[PredictorConfig], t: &Trace, simulator: Simulator) -> Vec<SimResult> {
+        let mut lanes = LaneSet::new(configs, simulator);
+        for chunk in t.chunks(TraceChunk::DEFAULT_LEN) {
+            lanes.replay_chunk(&chunk);
+        }
+        lanes.finish()
+    }
+
     fn assert_matches_serial(configs: &[PredictorConfig], t: &Trace, simulator: Simulator) {
-        let multilane = replay_multilane(configs, t, simulator);
+        let multilane = replay(configs, t, simulator);
         for (config, got) in configs.iter().zip(&multilane) {
             let want = simulator.run(&mut config.kernel(), t);
             assert_eq!(&want, got, "{config}");
@@ -2896,29 +2059,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_bit_gskew_banks_stay_on_the_scalar_tier() {
-        // The one remaining plan-less shape: a zero-bit gskew bank
-        // would need a 64-bit shift in the skew hash, so it keeps the
-        // scalar fallback alive (bucket-level check only — the scalar
-        // oracle itself rejects the degenerate shift in debug builds).
-        let configs = vec![
-            PredictorConfig::Gskew {
-                history_bits: 4,
-                bank_bits: 0,
-            },
-            PredictorConfig::Gshare {
-                history_bits: 5,
-                col_bits: 1,
-            },
-        ];
-        let lanes = LaneSet::new(&configs, Simulator::new());
-        assert_eq!(lanes.scalar_lanes(), if force_scalar() { 2 } else { 1 });
-    }
-
-    #[test]
-    fn groups_split_at_the_packed_lane_limit() {
-        // More groupable lanes than fit one packed word.
-        let configs: Vec<PredictorConfig> = (0..(cell::PACKED_LANES as u32 + 9))
+    fn groups_split_at_the_lane_limit() {
+        let configs: Vec<PredictorConfig> = (0..(GROUP_LANES as u32 + 9))
             .map(|i| PredictorConfig::Gshare {
                 history_bits: 2 + (i % 7),
                 col_bits: i % 4,
@@ -2946,7 +2088,7 @@ mod tests {
             };
             3
         ];
-        let results = replay_multilane(&configs, &trace(1_000), Simulator::new());
+        let results = replay(&configs, &trace(1_000), Simulator::new());
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
     }
@@ -3053,19 +2195,11 @@ mod tests {
         if force_scalar() {
             assert_eq!(lanes.scalar_lanes(), configs.len());
         } else {
-            // Every family must land on its plan group, not the
-            // scalar fallback.
+            // Every family lands in exactly one group of its own kind,
+            // in tier order, none on the scalar tier.
             assert_eq!(lanes.scalar_lanes(), 0);
-            assert_eq!(lanes.pas_groups.len(), 1);
-            assert_eq!(lanes.finite_groups.len(), 1);
-            assert_eq!(lanes.sas_groups.len(), 1);
-            assert_eq!(lanes.agree_groups.len(), 1);
-            assert_eq!(lanes.bimode_groups.len(), 1);
-            assert_eq!(lanes.gskew_groups.len(), 1);
-            assert_eq!(lanes.tournament_groups.len(), 1);
-            assert_eq!(lanes.yags_groups.len(), 1);
-            assert_eq!(lanes.path_groups.len(), 1);
-            assert_eq!(lanes.last_groups.len(), 1);
+            let tiers: Vec<usize> = lanes.groups.iter().map(|g| g.tier).collect();
+            assert_eq!(tiers, (1..=10).collect::<Vec<_>>());
         }
         assert_matches_serial(&configs, &trace(3_000), Simulator::new());
     }
@@ -3079,19 +2213,6 @@ mod tests {
                 Simulator::with_warmup(warmup),
             );
         }
-    }
-
-    #[test]
-    fn gskew_zero_bank_bits_stays_on_the_scalar_tier() {
-        // A zero-bit bank has no plan (the skew hash would shift by
-        // 64); it must classify to the scalar fallback, not a group.
-        let configs = vec![PredictorConfig::Gskew {
-            history_bits: 4,
-            bank_bits: 0,
-        }];
-        let lanes = LaneSet::new(&configs, Simulator::new());
-        assert_eq!(lanes.scalar_lanes(), 1);
-        assert!(lanes.gskew_groups.is_empty());
     }
 
     #[test]
@@ -3110,7 +2231,7 @@ mod tests {
             };
             3
         ]);
-        let results = replay_multilane(&configs, &trace(1_200), Simulator::new());
+        let results = replay(&configs, &trace(1_200), Simulator::new());
         assert_eq!(results[0], results[1]);
         assert_eq!(results[1], results[2]);
         assert_eq!(results[3], results[4]);
@@ -3143,7 +2264,7 @@ mod tests {
             };
             3
         ]);
-        let results = replay_multilane(&configs, &trace(1_200), Simulator::new());
+        let results = replay(&configs, &trace(1_200), Simulator::new());
         for k in [0, 3, 6] {
             assert_eq!(results[k], results[k + 1]);
             assert_eq!(results[k + 1], results[k + 2]);
@@ -3176,37 +2297,33 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_auto_gates_on_arena_footprint() {
-        let at = PREFETCH_SPILL_BYTES;
-        assert!(!PrefetchMode::Auto.resolve(at, at));
-        assert!(PrefetchMode::Auto.resolve(at + 1, at));
-        assert!(PrefetchMode::On.resolve(0, at));
-        assert!(!PrefetchMode::Off.resolve(u64::MAX, at));
-    }
-
-    #[test]
-    fn prefetch_path_is_bit_identical() {
-        // Flip the prefetch flag directly (instead of racing the env
-        // var across test threads) and compare against the default
-        // fused path over the same chunk stream.
-        let configs = grouped_configs();
-        let t = trace(2_500);
-        let mut plain = LaneSet::new(&configs, Simulator::new());
-        let mut prefetched = LaneSet::new(&configs, Simulator::new());
-        for group in &mut prefetched.groups {
-            group.prefetch = true;
-        }
-        for chunk in t.chunks(256) {
-            plain.replay_chunk(&chunk);
-            prefetched.replay_chunk(&chunk);
-        }
-        assert_eq!(plain.finish(), prefetched.finish());
+    fn spilled_arenas_prefetch_and_match_the_scalar_oracle() {
+        // A 2^20-cell gshare arena is 8 MiB, past the spill threshold;
+        // 2^19 cells is exactly 4 MiB, which is not.
+        let spilled = [PredictorConfig::Gshare {
+            history_bits: 20,
+            col_bits: 0,
+        }];
+        let resident = [PredictorConfig::Gshare {
+            history_bits: 19,
+            col_bits: 0,
+        }];
+        let on = if force_scalar() { 0 } else { 1 };
+        assert_eq!(
+            LaneSet::new(&spilled, Simulator::new()).prefetch_groups(),
+            on
+        );
+        assert_eq!(
+            LaneSet::new(&resident, Simulator::new()).prefetch_groups(),
+            0
+        );
+        assert_matches_serial(&spilled, &trace(2_500), Simulator::with_warmup(100));
     }
 
     #[test]
     fn empty_inputs_are_empty_results() {
-        assert!(replay_multilane(&[], &trace(10), Simulator::new()).is_empty());
-        let results = replay_multilane(&grouped_configs(), &Trace::new(), Simulator::new());
+        assert!(replay(&[], &trace(10), Simulator::new()).is_empty());
+        let results = replay(&grouped_configs(), &Trace::new(), Simulator::new());
         assert!(results.iter().all(|r| r.conditionals == 0));
     }
 

@@ -37,10 +37,10 @@
 //! memory-layout cost are the only differences.
 //!
 //! Sweeps that replay *many* configurations over one chunk stream go
-//! one tier further: [`replay_multilane`](crate::replay_multilane)
-//! (module [`multilane`](crate::multilane)) regroups compatible lanes
-//! record-major and steps their counters SWAR-packed, with this core
-//! pinned underneath as the scalar fallback and bit-identity oracle.
+//! one tier further: a [`LaneSet`](crate::LaneSet) (module
+//! [`multilane`](crate::multilane)) runs same-kind lanes in fused
+//! groups over shared counter arenas, with this core as the scalar
+//! oracle they are checked against.
 //!
 //! # Examples
 //!

@@ -80,8 +80,9 @@ fn kind_from_code(code: u64) -> BranchKind {
 
 /// A run of branch records in structure-of-arrays layout.
 ///
-/// See the [module docs](self) for the layout and the role chunks play
-/// in the sweep pipeline. Chunks grow by [`push`](TraceChunk::push) /
+/// Each record is a `pc` and a taken-target column entry plus a 4-bit
+/// outcome/kind field, sixteen to a [`meta_words`](TraceChunk::meta_words)
+/// word. Chunks grow by [`push`](TraceChunk::push) /
 /// [`fill_from`](TraceChunk::fill_from) and are consumed positionally
 /// ([`record`](TraceChunk::record)) or sequentially
 /// ([`iter`](TraceChunk::iter)); both directions round-trip records

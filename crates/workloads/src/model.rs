@@ -221,8 +221,9 @@ impl WorkloadModel {
     /// Generates a trace with exactly `conditionals` conditional
     /// branches (non-conditional transfers are interleaved on top).
     ///
-    /// Equivalent to collecting [`stream_of_length`]
-    /// (Self::stream_of_length) — the stream *is* the generator.
+    /// Equivalent to collecting
+    /// [`stream_of_length`](Self::stream_of_length) — the stream *is*
+    /// the generator.
     pub fn trace_of_length(&self, seed: u64, conditionals: usize) -> Trace {
         let mut trace = Trace::with_capacity(conditionals + conditionals / 8);
         trace.extend(self.stream_of_length(seed, conditionals));
@@ -289,9 +290,9 @@ impl TraceStream<'_> {
     /// This is the generator's chunk-fill path: the loop is
     /// monomorphized over the concrete stream, so records go from the
     /// sampler into the chunk arrays without a boxed per-record
-    /// iterator call. The emitted sequence is exactly what [`next`]
-    /// (Iterator::next) would yield — chunking never perturbs the
-    /// RNG draw order.
+    /// iterator call. The emitted sequence is exactly what
+    /// [`next`](Iterator::next) would yield — chunking never perturbs
+    /// the RNG draw order.
     pub fn fill_chunk(&mut self, chunk: &mut TraceChunk, max: usize) -> usize {
         chunk.fill_from(self, max)
     }

@@ -4,19 +4,18 @@
 # BENCH_replay.json at the repo root records predict+update pairs per
 # second for the acceptance sweep (32 gshare configurations × 120k
 # mpeg_play branches) and the other kernel families, measured per
-# dispatch mode (pinned scalar fallback, record-major grouping with
-# and without the packed SWAR step, and the default fused multilane
-# kernel), plus toolchain metadata. Every mode is asserted
-# bit-identical before a number is written. Families span the Direct
-# shapes, the statics, the table-walk-plan families
-# (PAs/SAs/agree/bi-mode/gskew), and the multi-structure plans
-# (tournament/YAGS/path/last-time); a grouped-mode row whose sweep
+# dispatch mode (the scalar oracle under BPRED_FORCE_SCALAR=1, and the
+# default fused multilane kernels), plus toolchain metadata. Both
+# modes are asserted bit-identical before a number is written.
+# Families span the Direct shapes, the statics, the table-walk-plan
+# families (PAs/SAs/agree/bi-mode/gskew), and the multi-structure
+# plans (tournament/YAGS/path/last-time); a multilane row whose sweep
 # ran lanes on the scalar tier is marked "mode": "scalar-fallback"
-# rather than recorded as a grouped number. A spill-scale family
+# rather than recorded as a fused number. A spill-scale family
 # (16-lane gshare sweeps at ~L2 / ~LLC / 4×LLC arena footprints)
-# ablates BPRED_GROUP_PREFETCH=off vs auto, recording the resolved
-# prefetch mode per row; the summary carries a geomean speedup
-# across every family measured both scalar and multilane.
+# records whether the footprint gate turned prefetch on per row; the
+# summary carries a geomean speedup across every family measured
+# both scalar and multilane.
 #
 #   scripts/bench_replay.sh             # refresh BENCH_replay.json
 #   scripts/bench_replay.sh --quick     # small trace, 1 rep (CI smoke)

@@ -1,17 +1,18 @@
 //! Determinism harness for the batched single-pass replay engine.
 //!
-//! The batched engine (`bpred::sim::run_batched`) promises results
+//! The sweep driver (`bpred::sim::run_configs`) promises results
 //! *bit-identical* to the serial reference (`Simulator::run` once per
 //! configuration). These tests enforce that promise for every
 //! [`PredictorConfig`] variant, for the acceptance-sized sweep
-//! (32 configurations over a 120k-branch trace), and across repeated
-//! same-seed runs.
+//! (32 configurations over a 120k-branch trace), across repeated
+//! same-seed runs, and — through a [`LaneSet`] fed directly — at any
+//! chunk length.
 
 use proptest::prelude::*;
 
 use bpred::core::PredictorConfig;
-use bpred::sim::{run_batched, run_batched_chunked, run_configs, Simulator};
-use bpred::trace::{BranchKind, BranchRecord, Outcome, Trace};
+use bpred::sim::{run_configs, LaneSet, SimResult, Simulator};
+use bpred::trace::{BranchKind, BranchRecord, Outcome, Trace, TraceSource};
 use bpred::workloads::{suite, WorkloadSource};
 
 /// One configuration of every `PredictorConfig` variant, sized so each
@@ -110,11 +111,26 @@ fn serial_reference(
     configs: &[PredictorConfig],
     trace: &Trace,
     simulator: Simulator,
-) -> Vec<bpred::sim::SimResult> {
+) -> Vec<SimResult> {
     configs
         .iter()
         .map(|config| simulator.run(&mut config.build(), trace))
         .collect()
+}
+
+/// One [`LaneSet`] fed `trace.chunks(chunk_len)`: the driver's inner
+/// loop at an arbitrary chunk length.
+fn chunked(
+    configs: &[PredictorConfig],
+    trace: &Trace,
+    simulator: Simulator,
+    chunk_len: usize,
+) -> Vec<SimResult> {
+    let mut lanes = LaneSet::new(configs, simulator);
+    for chunk in trace.chunks(chunk_len) {
+        lanes.replay_chunk(&chunk);
+    }
+    lanes.finish()
 }
 
 #[test]
@@ -122,10 +138,8 @@ fn every_variant_matches_serial_exactly() {
     let trace = suite::espresso().scaled(8_000).trace(1996);
     let configs = every_variant();
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    for shard_size in [1, 3, 8, configs.len()] {
-        let batched = run_batched(&configs, &trace, Simulator::new(), shard_size);
-        assert_eq!(serial, batched, "shard size {shard_size}");
-    }
+    let batched = run_configs(&configs, &trace, Simulator::new());
+    assert_eq!(serial, batched);
 }
 
 #[test]
@@ -134,7 +148,7 @@ fn every_variant_matches_serial_with_warmup() {
     let configs = every_variant();
     let simulator = Simulator::with_warmup(1_000);
     let serial = serial_reference(&configs, &trace, simulator);
-    let batched = run_batched(&configs, &trace, simulator, 5);
+    let batched = run_configs(&configs, &trace, simulator);
     assert_eq!(serial, batched);
 }
 
@@ -174,7 +188,7 @@ fn chunk_boundary_sizes_are_bit_identical_to_serial() {
     let configs = every_variant();
     let serial = serial_reference(&configs, &trace, Simulator::new());
     for chunk_len in [1, 7, len - 1, len, len + 1] {
-        let chunked = run_batched_chunked(&configs, &trace, Simulator::new(), 8, chunk_len);
+        let chunked = chunked(&configs, &trace, Simulator::new(), chunk_len);
         assert_eq!(serial, chunked, "chunk_len {chunk_len}");
     }
 }
@@ -188,7 +202,7 @@ fn warmup_boundary_mid_chunk_is_bit_identical_to_serial() {
     let simulator = Simulator::with_warmup(1_000);
     let serial = serial_reference(&configs, &trace, simulator);
     for chunk_len in [256, 999, 1_001] {
-        let chunked = run_batched_chunked(&configs, &trace, simulator, 4, chunk_len);
+        let chunked = chunked(&configs, &trace, simulator, chunk_len);
         assert_eq!(serial, chunked, "chunk_len {chunk_len}");
     }
 }
@@ -244,7 +258,7 @@ proptest! {
             if chunk_len == 0 {
                 continue;
             }
-            let chunked = run_batched_chunked(&configs, &trace, simulator, 2, chunk_len);
+            let chunked = chunked(&configs, &trace, simulator, chunk_len);
             prop_assert_eq!(&serial, &chunked, "chunk_len {}", chunk_len);
         }
     }

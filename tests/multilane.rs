@@ -1,10 +1,10 @@
 //! Bit-identity harness for the multilane replay kernels.
 //!
-//! `bpred::sim::replay_multilane` (and the [`LaneSet`] the batched
-//! engine now runs on) promises results bit-identical to the pinned
-//! scalar fallback — `Simulator::run` once per configuration — for
-//! every `PredictorConfig` variant, every dispatch tier, any lane
-//! mix, and any chunking of the stream. These tests enforce that
+//! [`LaneSet`] (and `bpred::sim::run_configs`, which drives it)
+//! promises results bit-identical to the scalar oracle —
+//! `Simulator::run` once per configuration — for every
+//! `PredictorConfig` variant, every dispatch tier, any lane mix, and
+//! any chunking of the stream. These tests enforce that
 //! promise; the CI matrix re-runs the whole suite under
 //! `BPRED_FORCE_SCALAR=1` so the forced-fallback partition gets the
 //! same coverage.
@@ -12,8 +12,8 @@
 use proptest::prelude::*;
 
 use bpred::core::PredictorConfig;
-use bpred::sim::{replay_multilane, run_batched_chunked, LaneSet, SimResult, Simulator};
-use bpred::trace::{BranchKind, BranchRecord, Outcome, Trace, TraceChunk};
+use bpred::sim::{run_configs, LaneSet, SimResult, Simulator};
+use bpred::trace::{BranchKind, BranchRecord, Outcome, Trace, TraceChunk, TraceSource};
 use bpred::workloads::suite;
 
 /// One configuration of every `PredictorConfig` variant: the three
@@ -92,12 +92,26 @@ fn serial_reference(
         .collect()
 }
 
+/// One [`LaneSet`] fed `trace.chunks(chunk_len)`.
+fn chunked(
+    configs: &[PredictorConfig],
+    trace: &Trace,
+    simulator: Simulator,
+    chunk_len: usize,
+) -> Vec<SimResult> {
+    let mut lanes = LaneSet::new(configs, simulator);
+    for chunk in trace.chunks(chunk_len) {
+        lanes.replay_chunk(&chunk);
+    }
+    lanes.finish()
+}
+
 #[test]
 fn every_variant_matches_the_scalar_oracle() {
     let trace = suite::espresso().scaled(8_000).trace(1996);
     let configs = every_variant();
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = run_configs(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
 }
 
@@ -107,30 +121,30 @@ fn every_variant_matches_with_a_mid_stream_warmup() {
     let configs = every_variant();
     let simulator = Simulator::with_warmup(1_000);
     let serial = serial_reference(&configs, &trace, simulator);
-    let multilane = replay_multilane(&configs, &trace, simulator);
+    let multilane = run_configs(&configs, &trace, simulator);
     assert_eq!(serial, multilane);
 }
 
 #[test]
 fn chunk_boundaries_never_change_results() {
-    // The batched engine drives LaneSet chunk by chunk; cover
-    // single-record chunks, a coprime length, and the off-by-one
+    // The driver feeds LaneSet chunk by chunk; cover single-record
+    // chunks, a coprime length, and the off-by-one
     // straddles of the trace length.
     let trace = suite::mpeg_play().scaled(3_000).trace(11);
     let len = trace.len();
     let configs = every_variant();
     let serial = serial_reference(&configs, &trace, Simulator::new());
     for chunk_len in [1, 7, len - 1, len, len + 1] {
-        let chunked = run_batched_chunked(&configs, &trace, Simulator::new(), 8, chunk_len);
+        let chunked = chunked(&configs, &trace, Simulator::new(), chunk_len);
         assert_eq!(serial, chunked, "chunk_len {chunk_len}");
     }
 }
 
 #[test]
 fn a_group_wider_than_the_packed_lane_limit_splits_cleanly() {
-    // 41 groupable lanes force a second GlobalGroup (the limit is
-    // cell::PACKED_LANES = 32), mixed with statics and scalar-tier
-    // lanes on both sides of the split.
+    // 41 direct lanes force a second direct group (the limit is 32
+    // lanes), mixed with statics and other plan kinds on both sides
+    // of the split.
     let mut configs = vec![PredictorConfig::AlwaysTaken];
     configs.extend((1..=20u32).map(|n| PredictorConfig::Gshare {
         history_bits: n % 9 + 1,
@@ -147,7 +161,7 @@ fn a_group_wider_than_the_packed_lane_limit_splits_cleanly() {
     configs.push(PredictorConfig::Btfn);
     let trace = suite::sdet().scaled(5_000).trace(3);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = run_configs(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
 }
 
@@ -162,16 +176,15 @@ fn duplicate_configurations_stay_independent() {
     ];
     let trace = suite::espresso().scaled(2_000).trace(9);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = run_configs(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
     assert!(multilane.windows(2).all(|w| w[0] == w[1]));
 }
 
 #[test]
 fn lane_set_streams_one_chunk_at_a_time() {
-    // Drive LaneSet directly (the batched engine's usage) with a
-    // reused chunk buffer, against the one-shot entry point.
-    use bpred::trace::TraceSource;
+    // Drive LaneSet directly with a reused chunk buffer, as the
+    // single-worker driver does.
     let trace = suite::real_gcc().scaled(4_000).trace(17);
     let configs = every_variant();
     let mut lanes = LaneSet::new(&configs, Simulator::new());
@@ -182,7 +195,7 @@ fn lane_set_streams_one_chunk_at_a_time() {
     }
     assert_eq!(
         lanes.finish(),
-        replay_multilane(&configs, &trace, Simulator::new())
+        serial_reference(&configs, &trace, Simulator::new())
     );
 }
 
@@ -247,7 +260,7 @@ fn each_plan_family_matches_the_scalar_oracle_alone() {
     for config in plan_family_variants() {
         let configs = [config];
         let serial = serial_reference(&configs, &trace, Simulator::new());
-        let multilane = replay_multilane(&configs, &trace, Simulator::new());
+        let multilane = run_configs(&configs, &trace, Simulator::new());
         assert_eq!(serial, multilane, "{config}");
     }
 }
@@ -261,7 +274,7 @@ fn plan_families_match_with_warmups_and_chunking() {
         let simulator = Simulator::with_warmup(warmup);
         let serial = serial_reference(&configs, &trace, simulator);
         for chunk_len in [1, 13, len - 1, len + 1] {
-            let chunked = run_batched_chunked(&configs, &trace, simulator, 4, chunk_len);
+            let chunked = chunked(&configs, &trace, simulator, chunk_len);
             assert_eq!(serial, chunked, "warmup {warmup} chunk_len {chunk_len}");
         }
     }
@@ -269,8 +282,8 @@ fn plan_families_match_with_warmups_and_chunking() {
 
 #[test]
 fn a_plan_group_wider_than_the_packed_lane_limit_splits_cleanly() {
-    // 41 agree lanes force a second AgreeGroup (the limit is
-    // cell::PACKED_LANES = 32), interleaved with the other plan
+    // 41 agree lanes force a second agree group (the limit is 32
+    // lanes), interleaved with the other plan
     // families and a multi-structure lane on both sides of the split.
     let mut configs = vec![PredictorConfig::LastTime { addr_bits: 5 }];
     configs.extend((1..=41u32).map(|n| PredictorConfig::Agree {
@@ -285,7 +298,7 @@ fn a_plan_group_wider_than_the_packed_lane_limit_splits_cleanly() {
     });
     let trace = suite::sdet().scaled(4_000).trace(41);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = run_configs(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
 }
 
@@ -307,7 +320,7 @@ fn duplicate_plan_configurations_stay_independent() {
     ]);
     let trace = suite::espresso().scaled(2_000).trace(13);
     let serial = serial_reference(&configs, &trace, Simulator::new());
-    let multilane = replay_multilane(&configs, &trace, Simulator::new());
+    let multilane = run_configs(&configs, &trace, Simulator::new());
     assert_eq!(serial, multilane);
     assert_eq!(multilane[0], multilane[1]);
     assert_eq!(multilane[1], multilane[2]);
@@ -443,15 +456,24 @@ proptest! {
         let serial = serial_reference(&configs, &trace, simulator);
         prop_assert_eq!(
             &serial,
-            &replay_multilane(&configs, &trace, simulator),
-            "one-shot multilane"
+            &run_configs(&configs, &trace, simulator),
+            "run_configs"
         );
         for chunk_len in [1, 7, len.max(2) - 1, len + chunk_extra] {
             if chunk_len == 0 {
                 continue;
             }
-            let chunked = run_batched_chunked(&configs, &trace, simulator, 4, chunk_len);
+            let chunked = chunked(&configs, &trace, simulator, chunk_len);
             prop_assert_eq!(&serial, &chunked, "chunk_len {}", chunk_len);
         }
+    }
+
+    /// Every configuration the grammar can produce has a fused group:
+    /// only `BPRED_FORCE_SCALAR` puts lanes on the scalar tier.
+    #[test]
+    fn no_config_falls_back_to_the_scalar_tier(config in arb_config()) {
+        let lanes = LaneSet::new(&[config], Simulator::new());
+        let forced = usize::from(bpred::sim::dispatch_tier() == "scalar");
+        prop_assert_eq!(lanes.scalar_lanes(), forced, "{}", config);
     }
 }
