@@ -1,6 +1,6 @@
 //! Criterion microbenchmarks: single-thread prediction throughput of
-//! every scheme on a fixed workload, plus the enum-kernel vs
-//! `Box<dyn>` dispatch comparison. These measure the simulator itself
+//! every scheme on a fixed workload, plus the `Box<dyn>` vs
+//! concrete-type dispatch comparison. These measure the simulator itself
 //! (predictions per second), complementing the accuracy harnesses in
 //! `src/bin/`.
 
@@ -87,10 +87,10 @@ fn predictor_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// Enum-dispatched [`PredictorKernel`](bpred_core::PredictorKernel)
-/// (the hot path since the replay-core rework) against the same
-/// replay over a `Box<dyn BranchPredictor>`: identical `ReplayCore`,
-/// identical results, differing only in how predict/update dispatch.
+/// The scalar oracle's `Box<dyn BranchPredictor>` (what
+/// [`PredictorConfig::build`] returns) against the same replay over a
+/// concrete `Gshare`: identical `ReplayCore`, identical results,
+/// differing only in how predict/update dispatch.
 fn dispatch_comparison(c: &mut Criterion) {
     let trace = suite::mpeg_play().scaled(BRANCHES).trace(1);
     let sweep: Vec<PredictorConfig> = (6..14)
@@ -125,14 +125,6 @@ fn dispatch_comparison(c: &mut Criterion) {
                     core.replay(&trace);
                     core.finish().mispredictions
                 })
-                .sum::<u64>()
-        });
-    });
-    group.bench_function("enum-kernel", |b| {
-        b.iter(|| {
-            sweep
-                .iter()
-                .map(|cfg| run_config(*cfg, &trace, Simulator::new()).mispredictions)
                 .sum::<u64>()
         });
     });

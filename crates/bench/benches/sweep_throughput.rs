@@ -48,7 +48,6 @@ fn components(c: &mut Criterion) {
     let model = suite::mpeg_play().scaled(CONDITIONALS);
     let source = WorkloadSource::new(model, 2);
     let trace = source.collect_trace();
-    let chunks: Vec<TraceChunk> = source.chunks(TraceChunk::DEFAULT_LEN).collect();
     let config = PredictorConfig::Gshare {
         history_bits: 9,
         col_bits: 3,
@@ -68,26 +67,12 @@ fn components(c: &mut Criterion) {
                 .sum::<usize>()
         });
     });
-    group.bench_function("lane-feed-enum", |b| {
+    group.bench_function("lane-feed-boxed", |b| {
         b.iter(|| {
-            let mut lane = ReplayCore::from_config(&config, Simulator::new());
+            let mut lane = ReplayCore::new(config.build(), Simulator::new());
             for record in trace.iter() {
                 lane.feed(record);
             }
-            lane.finish()
-        });
-    });
-    group.bench_function("lane-feed-stream-hoisted", |b| {
-        b.iter(|| {
-            let mut lane = ReplayCore::from_config(&config, Simulator::new());
-            lane.replay_dispatched(&trace);
-            lane.finish()
-        });
-    });
-    group.bench_function("lane-feed-chunks-hoisted", |b| {
-        b.iter(|| {
-            let mut lane = ReplayCore::from_config(&config, Simulator::new());
-            lane.replay_chunks(&chunks);
             lane.finish()
         });
     });

@@ -13,9 +13,10 @@
 //!
 //! Modes per family:
 //!
-//! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane replays on the
-//!   hoisted-dispatch [`ReplayCore`](bpred_sim::ReplayCore), the
-//!   scalar oracle.
+//! - `scalar` — `BPRED_FORCE_SCALAR=1`: every lane replays on a
+//!   [`ReplayCore`](bpred_sim::ReplayCore) over the boxed predictor
+//!   `PredictorConfig::build` returns, the scalar oracle, fed one
+//!   chunk at a time.
 //! - `multilane` — the default tier ([`bpred_sim::dispatch_tier`]):
 //!   the fused lane-major group kernels.
 //!

@@ -145,6 +145,11 @@ pub enum PredictorConfig {
 
 impl PredictorConfig {
     /// Builds the predictor this configuration describes.
+    ///
+    /// This is the only constructor from a configuration to a
+    /// predictor: the scalar replay in `bpred-sim` drives the boxed
+    /// result, and the fused lane groups there are checked
+    /// bit-for-bit against it.
     pub fn build(&self) -> Box<dyn BranchPredictor> {
         match *self {
             PredictorConfig::AlwaysTaken => Box::new(AlwaysTaken),

@@ -21,6 +21,13 @@
 //!   access, distinguishing the paper's harmless all-ones-pattern
 //!   conflicts from harmful ones.
 //!
+//! [`PredictorConfig`] names each configuration, and
+//! [`PredictorConfig::build`] is the one way to turn it into a
+//! predictor (a `Box<dyn BranchPredictor>`): the scalar oracle. The
+//! same configuration's [`WalkPlan`] describes it to the fused
+//! multilane replay in `bpred-sim`, which must match that oracle
+//! bit-for-bit.
+//!
 //! # Examples
 //!
 //! ```
@@ -57,7 +64,6 @@ mod fsm;
 mod geometry;
 mod global;
 mod history;
-mod kernel;
 mod peraddr;
 mod plan;
 mod predictor;
@@ -83,7 +89,6 @@ pub use global::{
     PathSelector,
 };
 pub use history::{reset_pattern, HistoryRegister, PathRegister};
-pub use kernel::{KernelVisitor, PredictorKernel, TournamentKernel};
 pub use peraddr::{Pas, SelfSelector};
 pub use plan::{
     CombineRule, IndexFn, Level1Read, PlanKind, TableRead, WalkPlan, SKEW_BANK_MULTIPLIERS,

@@ -51,6 +51,7 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -317,8 +318,14 @@ fn worker_loop(
         let job = { lock_recover(job_rx).recv() };
         let Ok(job) = job else { return }; // channel closed: shutdown
         metrics.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        let (status, bytes) = match service.execute(&job.sweep) {
-            Ok((body, provenance)) => (
+        // A panic inside the engine (say, a configuration whose tables
+        // cannot be sized) answers 500 and leaves this worker running.
+        // The service's shared state stays consistent across the
+        // unwind: flight entries abort on drop, locks recover from
+        // poisoning, and the inflight gauge is a drop guard.
+        let executed = panic::catch_unwind(AssertUnwindSafe(|| service.execute(&job.sweep)));
+        let (status, bytes) = match executed {
+            Ok(Ok((body, provenance))) => (
                 200,
                 http::response(
                     200,
@@ -328,7 +335,7 @@ fn worker_loop(
                     job.keep_alive,
                 ),
             ),
-            Err(bad) => {
+            Ok(Err(bad)) => {
                 Metrics::inc(&metrics.bad_requests);
                 (
                     bad.status,
@@ -341,6 +348,16 @@ fn worker_loop(
                     ),
                 )
             }
+            Err(_) => (
+                500,
+                http::response(
+                    500,
+                    "text/plain; charset=utf-8",
+                    &[],
+                    b"sweep failed inside the engine\n",
+                    job.keep_alive,
+                ),
+            ),
         };
         metrics.observe_status(status);
         let mailbox = &mailboxes[job.shard];

@@ -19,6 +19,7 @@
 //! provenance (`hits=… misses=… coalesced=…`) rides in the
 //! `X-Bpred-Provenance` response header instead.
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -269,13 +270,11 @@ impl SweepService {
             let configs: Vec<PredictorConfig> =
                 leaders.iter().map(|&(i, _)| request.configs[i]).collect();
             Metrics::inc(&self.metrics.batches);
-            Metrics::inc(&self.metrics.inflight_batches);
+            let inflight = Inflight::enter(&self.metrics.inflight_batches);
             let started = Instant::now();
             let computed = run_configs(&configs, &source, simulator);
             self.metrics.batch_latency.observe(started.elapsed());
-            self.metrics
-                .inflight_batches
-                .fetch_sub(1, std::sync::atomic::Ordering::Relaxed);
+            drop(inflight);
 
             provenance.misses += leaders.len();
             Metrics::add(&self.metrics.cache_misses, leaders.len() as u64);
@@ -316,6 +315,23 @@ impl SweepService {
             .collect();
         let body = sweep_body(request, source.conditionals(), &source_id, &resolved);
         Ok((body, provenance))
+    }
+}
+
+/// Holds `bpred_inflight_batches` raised for one engine batch and
+/// lowers it on drop, so a batch that panics cannot leave it raised.
+struct Inflight<'a>(&'a AtomicU64);
+
+impl<'a> Inflight<'a> {
+    fn enter(gauge: &'a AtomicU64) -> Self {
+        Metrics::inc(gauge);
+        Inflight(gauge)
+    }
+}
+
+impl Drop for Inflight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
     }
 }
 

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 
 use bpred_core::{AliasStats, BhtStats, PredictorConfig};
 use bpred_serve::codec;
-use bpred_serve::store::{Backend, ResultStore, StoreOptions};
+use bpred_serve::store::{ResultStore, StoreOptions};
 use bpred_sim::cache::CellKey;
 use bpred_sim::{SimResult, Simulator};
 
@@ -57,22 +57,10 @@ fn packed(dir: &Path, hot_bytes: u64, seal_bytes: u64) -> ResultStore {
     ResultStore::open_with(
         dir,
         StoreOptions {
-            backend: Backend::Packed,
             hot_bytes,
             seal_bytes,
             peers: None,
             auto_migrate: true,
-        },
-    )
-    .unwrap()
-}
-
-fn flat(dir: &Path) -> ResultStore {
-    ResultStore::open_with(
-        dir,
-        StoreOptions {
-            backend: Backend::Flat,
-            ..StoreOptions::default()
         },
     )
     .unwrap()
@@ -286,13 +274,21 @@ fn persistent_index_is_an_optimisation_not_the_truth() {
 #[test]
 fn migration_packs_a_legacy_flat_tree() {
     let dir = scratch("migrate");
-    {
-        let legacy = flat(&dir);
-        for i in 0..10u64 {
-            legacy.put(&key(&format!("m{i}")), &result(i)).unwrap();
-        }
-        assert_eq!(legacy.len(), 10);
+    // The legacy layout, written by hand: one encoded object per cell
+    // at `objects/<first two digest digits>/<digest>.bin`, plus the
+    // old journal.
+    for i in 0..10u64 {
+        let k = key(&format!("m{i}"));
+        let digest = k.digest();
+        let fan = dir.join("objects").join(&digest[..2]);
+        fs::create_dir_all(&fan).unwrap();
+        fs::write(
+            fan.join(format!("{digest}.bin")),
+            codec::encode(&k.canonical(), &result(i)),
+        )
+        .unwrap();
     }
+    fs::write(dir.join("index.log"), b"legacy journal").unwrap();
     // Plant one corrupt object: it must be skipped, not migrated.
     let corrupt = dir.join("objects").join("00");
     fs::create_dir_all(&corrupt).unwrap();
@@ -338,22 +334,6 @@ fn raw_object_exchange_validates_digests() {
     assert_eq!(store.get(&a), Some(result(1)));
     assert_eq!(store.get_raw(&a.digest()).unwrap(), bytes_a);
     assert_eq!(store.get_raw(&b.digest()), None);
-}
-
-#[test]
-fn flat_backend_round_trips_and_gcs() {
-    let dir = scratch("flatrt");
-    let store = flat(&dir);
-    for i in 0..10u64 {
-        store.put(&key(&format!("f{i}")), &result(i)).unwrap();
-    }
-    assert_eq!(store.len(), 10);
-    assert_eq!(store.get(&key("f4")), Some(result(4)));
-    let budget = store.total_bytes() / 2;
-    let report = store.gc(budget).unwrap();
-    assert!(report.evicted > 0);
-    assert!(report.kept_bytes <= budget);
-    assert_eq!(report.kept, store.len());
 }
 
 #[test]

@@ -39,7 +39,7 @@ use bpred_trace::{Trace, TraceChunk, TraceSource};
 
 use crate::multilane::LANE_TIER_LABELS;
 use crate::ring::{ChunkRing, DetachGuard, FinishGuard, RING_CAPACITY};
-use crate::{LaneSet, ReplayCore, SimResult, Simulator};
+use crate::{LaneSet, SimResult, Simulator};
 
 /// Configurations per shard — one [`LaneSet`] each — when a sweep runs
 /// on more than one worker.
@@ -205,13 +205,11 @@ where
     run_chunked(configs, source, simulator, TraceChunk::DEFAULT_LEN, workers)
 }
 
-/// Simulates one configuration on the scalar kernel: the
-/// configuration's enum-dispatched predictor, replayed record by
-/// record. This is the oracle the fused groups are tested against.
+/// Simulates one configuration on the scalar oracle: the predictor
+/// [`PredictorConfig::build`] returns, replayed record by record. The
+/// fused groups are tested against this.
 pub fn run_config(config: PredictorConfig, trace: &Trace, simulator: Simulator) -> SimResult {
-    let mut core = ReplayCore::from_config(&config, simulator);
-    core.replay_dispatched(trace);
-    core.finish()
+    simulator.run(&mut config.build(), trace)
 }
 
 /// The driver behind [`run_configs`]: decodes `source` into chunks of

@@ -28,8 +28,10 @@
 //! [`multilane`]). With one worker the chunks are produced inline;
 //! with more, a producer thread shares them between workers that each
 //! own [`DEFAULT_SHARD_SIZE`]-configuration shards. [`run_config`]
-//! replays one configuration on the scalar kernel, the oracle the
-//! fused groups are checked against: results are bit-identical to
+//! replays one configuration on the scalar oracle (the boxed predictor
+//! [`PredictorConfig::build`](bpred_core::PredictorConfig::build)
+//! returns), which the fused groups are checked against: results are
+//! bit-identical to
 //! [`Simulator::run`] per configuration (enforced by
 //! `tests/determinism.rs` and `tests/multilane.rs` at the workspace
 //! root). [`records_replayed_total`] exposes the driver's

@@ -25,10 +25,11 @@
 //!   blocked form that touches the upcoming arena slots before the
 //!   counter read-modify-write consumes them.
 //! * **Scalar lanes** — under `BPRED_FORCE_SCALAR` every lane replays
-//!   through the hoisted [`ReplayCore`] dispatch instead. The scalar
-//!   kernels are the oracle: fused results are bit-identical by
-//!   construction and by test (`tests/multilane.rs` at the workspace
-//!   root runs under both settings in CI).
+//!   through a [`ReplayCore`] over the predictor
+//!   [`PredictorConfig::build`] returns instead, fed one chunk at a
+//!   time. That boxed predictor is the oracle: fused results are
+//!   bit-identical by construction and by test (`tests/multilane.rs`
+//!   at the workspace root runs under both settings in CI).
 //!
 //! # Environment knobs
 //!
@@ -40,8 +41,8 @@ use std::cmp::Reverse;
 use std::collections::HashMap;
 
 use bpred_core::{
-    cell, reset_pattern, AliasStats, BhtStats, HistoryTable, IndexFn, Level1Read, PlanKind,
-    PredictorConfig, PredictorKernel, SetAssocBht, TableRead, TwoBitCounter, WalkPlan,
+    cell, reset_pattern, AliasStats, BhtStats, BranchPredictor, HistoryTable, IndexFn, Level1Read,
+    PlanKind, PredictorConfig, SetAssocBht, TableRead, TwoBitCounter, WalkPlan,
     SKEW_BANK_MULTIPLIERS,
 };
 use bpred_trace::{Outcome, TraceChunk};
@@ -1705,7 +1706,7 @@ pub struct LaneSet {
     scored: u64,
     groups: Vec<Group>,
     statics: Vec<StaticUnit>,
-    scalars: Vec<(usize, ReplayCore<PredictorKernel>)>,
+    scalars: Vec<(usize, ReplayCore<Box<dyn BranchPredictor>>)>,
     /// Per-chunk scratch: the dense conditional stream shared by every
     /// lane group (`(pc << 1) | taken`, non-conditionals dropped).
     conditionals: Vec<u64>,
@@ -1737,7 +1738,7 @@ impl LaneSet {
         let mut scalars = Vec::new();
         for (index, config) in configs.iter().enumerate() {
             if force_scalar {
-                scalars.push((index, ReplayCore::from_config(config, simulator)));
+                scalars.push((index, ReplayCore::new(config.build(), simulator)));
                 continue;
             }
             let scheme = match config {
@@ -1746,14 +1747,15 @@ impl LaneSet {
                 PredictorConfig::Btfn => StaticScheme::Btfn,
                 _ => {
                     let plan = WalkPlan::of(config).expect("every stateful scheme has a plan");
-                    // Name and state cost come from the kernel itself
-                    // — the single source of the describe() rules —
-                    // captured once at build and the kernel dropped.
-                    let kernel = config.kernel();
+                    // Name and state cost come from the scalar
+                    // predictor itself — the single source of the
+                    // describe() rules — captured once at build and
+                    // the predictor dropped.
+                    let scalar = config.build();
                     specs.push(PlanSpec {
                         index,
-                        name: kernel.name(),
-                        state_bits: kernel.state_bits(),
+                        name: scalar.name(),
+                        state_bits: scalar.state_bits(),
                         plan,
                     });
                     continue;
@@ -1913,7 +1915,7 @@ impl LaneSet {
             unit.replay_chunk(chunk, self.seen, self.warmup, conditionals, taken);
         }
         for (_, lane) in &mut self.scalars {
-            lane.replay_chunk_dispatched(chunk);
+            lane.feed_chunk(chunk);
         }
         let unscored = conditionals.min(self.warmup.saturating_sub(self.seen));
         self.scored += conditionals - unscored;
@@ -2008,7 +2010,7 @@ mod tests {
     fn assert_matches_serial(configs: &[PredictorConfig], t: &Trace, simulator: Simulator) {
         let multilane = replay(configs, t, simulator);
         for (config, got) in configs.iter().zip(&multilane) {
-            let want = simulator.run(&mut config.kernel(), t);
+            let want = simulator.run(&mut config.build(), t);
             assert_eq!(&want, got, "{config}");
         }
     }

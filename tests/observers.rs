@@ -11,10 +11,10 @@
 
 use proptest::prelude::*;
 
-use bpred::core::PredictorConfig;
+use bpred::core::{BranchPredictor, PredictorConfig};
 use bpred::sim::{
-    interference, BranchProfiler, InterferenceObserver, ProfiledRun, ReplayCore, SimResult,
-    Simulator,
+    interference, BranchProfiler, InterferenceObserver, Observer, ProfiledRun, ReplayCore,
+    SimResult, Simulator,
 };
 use bpred::trace::{BranchRecord, Outcome, Trace};
 
@@ -102,17 +102,49 @@ fn mixed_trace(n: usize) -> Trace {
     t
 }
 
-/// Runs `config` with a full observer stack attached and returns the
-/// aggregate result plus the profiler that watched it.
+/// Counts every callback: checks that the innermost member of a
+/// nested observer pair still sees each record.
+#[derive(Default)]
+struct Counting {
+    conditionals: usize,
+    transfers: usize,
+}
+
+impl Observer for Counting {
+    fn on_conditional(
+        &mut self,
+        _record: &BranchRecord,
+        _predicted: Outcome,
+        _scored: bool,
+        _predictor: &dyn BranchPredictor,
+    ) {
+        self.conditionals += 1;
+    }
+
+    fn on_control_transfer(&mut self, _record: &BranchRecord, _predictor: &dyn BranchPredictor) {
+        self.transfers += 1;
+    }
+}
+
+/// Runs `config` with a full observer stack attached (pairs nested
+/// two deep) and returns the aggregate result plus the profiler that
+/// watched it.
 fn observed_run(
     config: &PredictorConfig,
     trace: &Trace,
     simulator: Simulator,
 ) -> (SimResult, BranchProfiler) {
-    let mut core = ReplayCore::from_config(config, simulator);
+    let mut core = ReplayCore::new(config.build(), simulator);
     let mut profiler = BranchProfiler::new();
     let mut interference = InterferenceObserver::for_predictor(core.predictor());
-    core.replay_observed(trace, &mut (&mut profiler, &mut interference));
+    let mut counting = Counting::default();
+    core.replay_observed(
+        trace,
+        &mut (&mut profiler, (&mut interference, &mut counting)),
+    );
+    let conditionals = trace.conditional_len();
+    assert_eq!(counting.conditionals, conditionals, "{config}");
+    assert_eq!(counting.transfers, trace.len() - conditionals, "{config}");
     (core.finish(), profiler)
 }
 
@@ -124,33 +156,6 @@ fn observers_are_inert_for_every_variant() {
             let plain = simulator.run(&mut config.build(), &trace);
             let (observed, _) = observed_run(&config, &trace, simulator);
             assert_eq!(plain, observed, "{config} with observers attached");
-        }
-    }
-}
-
-#[test]
-fn hoisted_dispatch_matches_per_record_dispatch_for_every_variant() {
-    // `replay_dispatched` resolves the kernel variant once per stream;
-    // `replay` dispatches on the enum per record. Same bit-stream,
-    // same result — including when the hoisted run resumes a core that
-    // has already consumed records.
-    let trace = mixed_trace(4_000);
-    for simulator in [Simulator::new(), Simulator::with_warmup(500)] {
-        for config in every_variant() {
-            let mut per_record = ReplayCore::from_config(&config, simulator);
-            per_record.replay(&trace);
-
-            let mut hoisted = ReplayCore::from_config(&config, simulator);
-            hoisted.replay_dispatched(&trace);
-            assert_eq!(per_record.finish(), hoisted.finish(), "{config}");
-
-            let mut resumed = ReplayCore::from_config(&config, simulator);
-            resumed.replay(&trace);
-            resumed.replay_dispatched(&trace);
-            let mut twice = ReplayCore::from_config(&config, simulator);
-            twice.replay(&trace);
-            twice.replay(&trace);
-            assert_eq!(twice.finish(), resumed.finish(), "{config} resumed");
         }
     }
 }

@@ -1,6 +1,7 @@
 //! Fault injection against the event-driven serve layer over real
 //! sockets: slowloris, oversized requests, mid-request disconnects,
-//! stalled readers, and malformed pipelines. Every scenario must
+//! stalled readers, malformed pipelines, and sweeps that panic inside
+//! the engine. Every scenario must
 //! leave the server fully answering — the final probe in each test
 //! proves no shard or worker was wedged.
 
@@ -10,12 +11,15 @@ use std::time::{Duration, Instant};
 
 use bpred_serve::server::{Server, ServerConfig, ServerHandle};
 
+/// Compute workers in the test server.
+const WORKERS: usize = 2;
+
 /// A server with aggressive timeouts so fault tests run in seconds.
 fn start() -> ServerHandle {
     Server::start(ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
         shards: 2,
-        workers: 2,
+        workers: WORKERS,
         cache_dir: None,
         max_branches: 2_000_000,
         read_timeout: Duration::from_millis(400),
@@ -26,9 +30,13 @@ fn start() -> ServerHandle {
     .expect("server starts")
 }
 
-/// One full exchange on a fresh connection; reads to EOF.
+/// One full exchange on a fresh connection; reads to EOF. A server
+/// that never answers fails the read rather than hanging the test.
 fn get(addr: SocketAddr, target: &str) -> (String, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
     write!(
         stream,
         "GET {target} HTTP/1.1\r\nHost: t\r\nConnection: close\r\n\r\n"
@@ -262,5 +270,39 @@ fn idle_keepalive_connection_is_reaped() {
         "idle reap happened on the idle timeout"
     );
     assert_alive(addr);
+    server.shutdown();
+}
+
+#[test]
+fn engine_panic_answers_500_and_the_worker_survives() {
+    let server = start();
+    let addr = server.addr();
+
+    // 2^40 history rows cannot be sized: the engine panics while
+    // building the lanes. One more such sweep than there are compute
+    // workers, so a worker that died with its panic would leave the
+    // last one unanswered.
+    let sent = WORKERS + 1;
+    for _ in 0..sent {
+        let (status, _) = get(
+            addr,
+            "/sweep?workload=espresso&branches=2000&configs=gshare:h=40,c=2",
+        );
+        assert!(status.contains("500"), "engine panic answered {status}");
+    }
+    assert_alive(addr);
+
+    let (status, body) = get(addr, "/metrics");
+    assert!(status.contains("200"));
+    let metrics = String::from_utf8(body).expect("metrics are text");
+    assert!(
+        metrics.lines().any(|l| l == "bpred_inflight_batches 0"),
+        "a panicked batch left the inflight gauge raised"
+    );
+    let counted = format!("bpred_serve_requests_total{{status=\"500\"}} {sent}");
+    assert!(
+        metrics.lines().any(|l| l == counted),
+        "every panic counted as a 500"
+    );
     server.shutdown();
 }
